@@ -5,6 +5,7 @@
 #include "bench/bench_common.hpp"
 #include "src/cache/arc_cache.hpp"
 #include "src/cache/mem_list_cache.hpp"
+#include "src/util/flat_lru_map.hpp"
 #include "src/workload/log_analysis.hpp"
 
 using namespace ssdse;
@@ -21,7 +22,7 @@ struct LruRef {
     return false;
   }
   std::size_t capacity;
-  LruMap<TermId, bool> map;
+  FlatLruMap<TermId, bool> map;
 };
 
 }  // namespace

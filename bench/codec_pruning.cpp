@@ -1,18 +1,16 @@
-// PR 7 gate bench: compressed posting blocks + block-max pruning
+// Gate bench: compressed posting blocks + block-max pruning
 // (DESIGN.md §13), emitted as BENCH_PR7.json and validated by
 // scripts/check_bench_json.py in CI.
 //
-// Four sections, each a hard gate:
+// Two gated sections plus observability producers:
 //  * compression — encoded vs raw posting bytes on the perf_driver daat
 //    corpus; the block-packed ratio must be >= 2.5x;
 //  * pruning     — the exhaustive DaatProcessor must reproduce the
-//    pinned PR 2 fingerprint (at the full 20k-query count), the pruned
+//    pinned daat fingerprint (at the full 20k-query count), the pruned
 //    MaxScoreDaatProcessor must return bit-identical top-K per query,
-//    and its q/s must beat the PR 2 baseline floor (Release builds);
-//  * lru_map     — LruMap vs FlatLruMap micro-bench on the MemListCache
-//    op mix; eviction order must match exactly;
+//    and its q/s must beat the baseline floor (Release builds);
 //  * a daat_skip trace span + daat.pruning.* registry counters give the
-//    new observability surfaces a live producer.
+//    pruning observability surfaces a live producer.
 //
 // Override the query count with SSDSE_DAAT_QUERIES; output with
 // SSDSE_BENCH_OUT.
@@ -25,8 +23,6 @@
 #include "src/index/block_postings.hpp"
 #include "src/telemetry/registry.hpp"
 #include "src/telemetry/tracer.hpp"
-#include "src/util/flat_lru_map.hpp"
-#include "src/util/lru_map.hpp"
 #include "src/util/rng.hpp"
 #include "src/workload/query_log.hpp"
 
@@ -38,10 +34,11 @@ namespace {
 // ssdse-lint: allow(nondeterminism) wall-clock measures real throughput only
 using Clock = std::chrono::steady_clock;
 
-/// PR 2 daat-phase baseline on the reference machine; the pruned path
-/// must beat it outright, decode cost included.
+/// Daat-phase throughput floor, measured on the reference machine before
+/// block-max pruning existed; the pruned path must beat it outright,
+/// decode cost included.
 constexpr double kBaselineQps = 2413.0;
-/// The daat fingerprint pinned since PR 2 (20k queries).
+/// The pinned perf_driver daat fingerprint (20k queries).
 constexpr std::uint64_t kPinnedFingerprint = 9983495460346675520ull;
 constexpr std::uint64_t kFullQueries = 20'000;
 
@@ -221,84 +218,14 @@ PruningResult run_pruning(const DaatWorkload& w,
   return p;
 }
 
-struct LruBenchResult {
-  std::uint64_t ops = 0;
-  double chained_wall_ms = 0;  // LruMap (list + unordered_map)
-  double flat_wall_ms = 0;     // FlatLruMap (open addressing)
-  double speedup = 0;
-  bool order_match = false;
-};
-
-/// The MemListCache op mix: insert-heavy churn with touches and LRU
-/// pops, over a working set that overflows a bounded map. Both
-/// containers run the identical op stream; the eviction-order
-/// fingerprint (folded over every pop_lru) must match exactly.
-template <typename Map>
-std::pair<double, std::uint64_t> lru_run(std::uint64_t ops) {
-  Map map;
-  Rng rng(2012);
-  std::uint64_t fp = 0;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    const auto key = static_cast<TermId>(rng.next_below(60'000));
-    switch (rng.next_below(8)) {
-      case 0:
-      case 1:
-      case 2:
-      case 3: {  // insert / refresh
-        map.insert(key, i);
-        break;
-      }
-      case 4:
-      case 5: {  // recency bump
-        if (auto* v = map.touch(key)) fp += *v;
-        break;
-      }
-      case 6: {  // targeted drop
-        if (auto v = map.erase(key)) fp += *v;
-        break;
-      }
-      case 7: {  // capacity-style eviction
-        if (map.size() > 40'000) {
-          if (auto e = map.pop_lru()) {
-            fp = fp * 1099511628211ull + e->first.raw() + e->second;
-          }
-        }
-        break;
-      }
-    }
-  }
-  return {ms_since(t0), fp};
-}
-
-LruBenchResult run_lru_bench(std::uint64_t ops) {
-  LruBenchResult r;
-  r.ops = ops;
-  // Min-of-3 each, interleaved, with the fingerprints compared across
-  // container types.
-  std::uint64_t fp_chained = 0;
-  std::uint64_t fp_flat = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto [cm, cf] = lru_run<LruMap<TermId, std::uint64_t>>(ops);
-    const auto [fm, ff] = lru_run<FlatLruMap<TermId, std::uint64_t>>(ops);
-    if (rep == 0 || cm < r.chained_wall_ms) r.chained_wall_ms = cm;
-    if (rep == 0 || fm < r.flat_wall_ms) r.flat_wall_ms = fm;
-    fp_chained = cf;
-    fp_flat = ff;
-  }
-  r.speedup = r.chained_wall_ms / r.flat_wall_ms;
-  r.order_match = fp_chained == fp_flat;
-  return r;
-}
-
 void write_json(const char* path, const CompressionResult& c,
-                const PruningResult& p, const LruBenchResult& l) {
+                const PruningResult& p) {
   FILE* f = std::fopen(path, "w");
   if (!f) {
-    std::fprintf(stderr, "pr7_codec_pruning: cannot write %s\n", path);
+    std::fprintf(stderr, "codec_pruning: cannot write %s\n", path);
     std::exit(1);
   }
-  std::fprintf(f, "{\n  \"bench\": \"pr7_codec_pruning\",\n");
+  std::fprintf(f, "{\n  \"bench\": \"codec_pruning\",\n");
   std::fprintf(f, "  \"schema_version\": 1,\n");
   std::fprintf(
       f,
@@ -332,22 +259,15 @@ void write_json(const char* path, const CompressionResult& c,
       static_cast<unsigned long long>(p.stats.prune_jumps),
       static_cast<unsigned long long>(p.stats.postings_pruned),
       p.postings_pruned_fraction, p.pass ? "true" : "false");
-  std::fprintf(
-      f,
-      "  \"lru_map\": {\"ops\": %llu, \"chained_wall_ms\": %.3f, "
-      "\"flat_wall_ms\": %.3f, \"speedup\": %.3f, \"order_match\": %s},\n",
-      static_cast<unsigned long long>(l.ops), l.chained_wall_ms,
-      l.flat_wall_ms, l.speedup, l.order_match ? "true" : "false");
   std::fprintf(f, "  \"pass\": %s\n}\n",
-               c.pass && p.pass && l.order_match ? "true" : "false");
+               c.pass && p.pass ? "true" : "false");
   std::fclose(f);
 }
 
 }  // namespace
 
 int main() {
-  print_environment(
-      "PR 7 gate — compressed posting blocks + block-max pruning");
+  print_environment("Gate — compressed posting blocks + block-max pruning");
   const auto queries = env_count("SSDSE_DAAT_QUERIES", kFullQueries);
   const char* out = std::getenv("SSDSE_BENCH_OUT");
   if (!out) out = "BENCH_PR7.json";
@@ -377,8 +297,8 @@ int main() {
       p.oracle_qps, static_cast<unsigned long long>(p.oracle_fingerprint),
       p.fingerprint_reference
           ? (p.oracle_fingerprint == kPinnedFingerprint
-                 ? ", matches PR 2 pin"
-                 : ", DIVERGES from PR 2 pin")
+                 ? ", matches the pin"
+                 : ", DIVERGES from the pin")
           : ", reduced query count: pin not applicable");
   std::printf(
       "  pruned : %8.1f q/s  vs %.0f baseline floor%s — results %s\n",
@@ -396,18 +316,11 @@ int main() {
       tracer.stage_stats(telemetry::TraceStage::kDaatSkip).sum(),
       registry.size());
 
-  const LruBenchResult l = run_lru_bench(queries * 50);
-  std::printf(
-      "  lru_map: chained %.1f ms -> flat %.1f ms (%.2fx), eviction "
-      "order %s\n",
-      l.chained_wall_ms, l.flat_wall_ms, l.speedup,
-      l.order_match ? "identical" : "DIVERGED");
-
-  write_json(out, c, p, l);
+  write_json(out, c, p);
   std::printf("wrote %s\n", out);
 
-  if (!(c.pass && p.pass && l.order_match)) {
-    std::fprintf(stderr, "pr7_codec_pruning: gate FAILED\n");
+  if (!(c.pass && p.pass)) {
+    std::fprintf(stderr, "codec_pruning: gate FAILED\n");
     return 1;
   }
   return 0;

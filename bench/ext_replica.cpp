@@ -289,10 +289,15 @@ FailoverGate run_failover_gate(const Calibration& cal,
                                std::uint64_t offered, Micros spike) {
   // Always-slow primary: every index-store access on slot 0 pays the
   // spike, so its EWMA pins high after the first touch and failover
-  // locks traffic onto the clean sibling.
+  // locks traffic onto the clean sibling. Failover learns a sibling's
+  // health only from traffic the sibling receives; with hedging off,
+  // the single retry that follows the primary's uncorrectable reads
+  // gives the sibling its first EWMA samples. Both arms get the same
+  // budget, so the comparison isolates failover.
   FailoverGate g;
   ClusterConfig cfg = base_cluster();
   inject_sick_primary(cfg, 1.0, spike);
+  cfg.replication.retry_budget = 1;
 
   SearchCluster primary_only(cfg);
   const TrafficResult primary = slo_run(primary_only, cal, offered);

@@ -13,7 +13,7 @@
 //     reproduces the windowed-series fingerprint bit for bit.
 //  5. *Zero-traffic pins.* With the harness unused, the perf_driver
 //     phases reproduce their pinned fingerprints (enforced only at the
-//     full query counts, like pr7_codec_pruning).
+//     full query counts, like codec_pruning).
 //
 // "1x" means the utilization target (0.75 of saturation), not rho = 1:
 // an open-loop queue at exactly rho = 1 is a random walk and no SLO

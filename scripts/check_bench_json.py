@@ -20,7 +20,8 @@ Four document shapes are recognized:
     tail attribution, plus the determinism and zero-traffic gates;
   * replication bench files ("bench": "ext_replica") — DESIGN.md §15:
     the replication-factor x fault x load sweep with per-cell broker
-    accounting (retries + hedges <= dispatches, coverage in [0, 1]),
+    accounting (retries + hedges <= dispatches, failovers <= dispatches,
+    coverage in [0, 1]),
     the monotone capped backoff schedule, and the three tail-tolerance
     gates (hedging cuts p99, retries restore coverage, failover keeps
     the SLO);
@@ -386,11 +387,11 @@ def check_ext_ingest(doc, path):
           f"identical, oracle exact over {oracle['probes']} probes)")
 
 
-PR7_PINNED_FINGERPRINT = 9983495460346675520
-PR7_MIN_RATIO = 2.5
+PINNED_DAAT_FINGERPRINT = 9983495460346675520
+MIN_PACKED_RATIO = 2.5
 
 
-def check_pr7(doc, path):
+def check_codec_pruning(doc, path):
     require(doc.get("schema_version") == 1,
             f"unsupported schema_version {doc.get('schema_version')!r}")
 
@@ -408,9 +409,9 @@ def check_pr7(doc, path):
                 f"compression: {key} {comp[key]} inconsistent with "
                 f"byte counts ({derived:.3f})")
     # Gate: the block-packed index must be several-fold smaller.
-    require(comp["packed_ratio"] >= PR7_MIN_RATIO,
+    require(comp["packed_ratio"] >= MIN_PACKED_RATIO,
             f"compression: packed_ratio {comp['packed_ratio']} below "
-            f"the {PR7_MIN_RATIO}x gate")
+            f"the {MIN_PACKED_RATIO}x gate")
     require(comp.get("pass") is True, "compression: gate did not pass")
 
     pr = doc.get("pruning")
@@ -432,17 +433,17 @@ def check_pr7(doc, path):
     # oracle on every query.
     require(pr.get("results_identical") is True,
             "pruning: pruned results diverged from the oracle")
-    # Gate 2: the exhaustive oracle still reproduces the PR 2
+    # Gate 2: the exhaustive oracle still reproduces the pinned daat
     # fingerprint (only pinned at the full query count).
     require(isinstance(pr.get("fingerprint_reference"), bool),
             "pruning: 'fingerprint_reference' must be a bool")
     if pr["fingerprint_reference"]:
-        require(pr.get("oracle_fingerprint") == PR7_PINNED_FINGERPRINT,
+        require(pr.get("oracle_fingerprint") == PINNED_DAAT_FINGERPRINT,
                 f"pruning: oracle fingerprint "
                 f"{pr.get('oracle_fingerprint')} does not match the "
-                f"PR 2 pin {PR7_PINNED_FINGERPRINT}")
-    # Gate 3 (Release builds): pruned throughput beats the PR 2
-    # baseline floor outright, decode cost included.
+                f"pin {PINNED_DAAT_FINGERPRINT}")
+    # Gate 3 (Release builds): pruned throughput beats the baseline
+    # floor outright, decode cost included.
     require(isinstance(pr.get("enforced"), bool),
             "pruning: 'enforced' must be a bool")
     if pr["enforced"]:
@@ -454,20 +455,9 @@ def check_pr7(doc, path):
     require(pr["prune_jumps"] > 0, "pruning: no prune jumps recorded")
     require(pr.get("pass") is True, "pruning: gate did not pass")
 
-    lm = doc.get("lru_map")
-    require(isinstance(lm, dict), "'lru_map' must be an object")
-    require(isinstance(lm.get("ops"), int) and lm["ops"] > 0,
-            "lru_map: 'ops' must be a positive integer")
-    for key in ("chained_wall_ms", "flat_wall_ms", "speedup"):
-        require(is_num(lm.get(key)) and lm[key] > 0,
-                f"lru_map: '{key}' must be positive")
-    require(lm.get("order_match") is True,
-            "lru_map: open-addressing eviction order diverged from the "
-            "chained reference")
+    require(doc.get("pass") is True, "codec_pruning gate did not pass")
 
-    require(doc.get("pass") is True, "pr7 gate did not pass")
-
-    print(f"check_bench_json: OK ({path}: pr7_codec_pruning, "
+    print(f"check_bench_json: OK ({path}: codec_pruning, "
           f"ratio {comp['packed_ratio']}x, pruned "
           f"{pr['pruned_qps']:.1f} q/s vs floor {pr['baseline_qps']:.0f}, "
           f"results identical over {pr['queries']} queries)")
@@ -816,6 +806,11 @@ def check_replica_counters(obj, ctx):
     require(obj["hedge_wins"] <= obj["hedges"],
             f"{ctx}: hedge_wins ({obj['hedge_wins']}) exceed hedges "
             f"({obj['hedges']})")
+    # A failover counts one shard request whose first attempt went to a
+    # replica other than 0, and that attempt is itself a dispatch.
+    require(obj["failovers"] <= obj["dispatches"],
+            f"{ctx}: failovers ({obj['failovers']}) exceed dispatches "
+            f"({obj['dispatches']})")
     require(is_num(obj.get("coverage_mean"))
             and 0.0 <= obj["coverage_mean"] <= 1.0,
             f"{ctx}: 'coverage_mean' must be in [0, 1]")
@@ -1171,15 +1166,15 @@ def check_file(path):
         check_ext_faults(doc, path)
     elif doc.get("bench") == "ext_ingest":
         check_ext_ingest(doc, path)
-    elif doc.get("bench") == "pr7_codec_pruning":
-        check_pr7(doc, path)
+    elif doc.get("bench") == "codec_pruning":
+        check_codec_pruning(doc, path)
     elif doc.get("bench") == "ext_traffic":
         check_ext_traffic(doc, path)
     elif doc.get("bench") == "ext_replica":
         check_ext_replica(doc, path)
     else:
         fail(f"{path}: not a perf_driver/ext_faults/ext_ingest/"
-             "pr7_codec_pruning/ext_traffic/ext_replica bench file or a "
+             "codec_pruning/ext_traffic/ext_replica bench file or a "
              "telemetry report")
 
 

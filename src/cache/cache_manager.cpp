@@ -192,8 +192,8 @@ const ResultEntry* CacheManager::lookup_result(QueryId qid,
     *time += flash;
     *tier_out = Tier::kSsd;
     // Promote to L1 (hybrid scheme: the SSD copy stays, now replaceable).
-    // Copy now: the eviction cascade may rewrite the SSD cache and
-    // dangle `ssd_hit`.
+    // Copy now: the eviction cascade may rewrite either SSD result cache
+    // and dangle `ssd_hit`.
     return promote_result(*ssd_hit, freq, born);
   }
   return nullptr;
@@ -207,7 +207,9 @@ const ResultEntry* CacheManager::promote_result(ResultEntry entry,
   if (ins.handle) {
     // Single probe: the insert handle serves the query directly (the
     // seed re-looked the key up, paying a second hash walk — and that
-    // lookup bumped freq, a semantic the handle path preserves).
+    // lookup bumped freq, a semantic the handle path preserves). The
+    // cascade below never inserts into or erases from L1, so the handle
+    // outlives it.
     ++ins.handle->freq;
     served = &ins.handle->entry;
   } else {
@@ -301,6 +303,8 @@ Tier CacheManager::fetch_list(TermId term, Micros* time) {
       ++stats_.breaker_bypassed_probes;
     } else {
       IoStatus st = IoStatus::kOk;
+      // `e` points into the list cache's map: every read of it happens
+      // before the expire/erase call that may relocate it.
       if (cost_based()) {
         if (const SsdListEntry* e =
                 ssd_lc_->lookup(term, needed, flash, &st)) {

@@ -95,6 +95,8 @@ class CacheManager {
 
   /// QM, result side. On a hit `*tier_out` says where it came from and
   /// `time` accumulates the access cost. SSD hits are promoted into L1.
+  /// The returned entry is valid until the next call into this manager;
+  /// copy it before serving another query.
   /// `terms` are the query's terms, used for live-index coherence: a
   /// cached result born at or before any term's mutation epoch is stale
   /// and treated as a miss. Pass an empty span for churn-free callers.
@@ -217,9 +219,10 @@ class CacheManager {
   void route_list_evictions(std::vector<EvictedList> evicted);
   void flush_group(std::vector<CachedResult> group);
   /// Promote a result into L1 and return a pointer good for serving the
-  /// current query: the L1 copy when admitted (stable — the eviction
-  /// cascade never touches other L1 entries), else a scratch copy taken
-  /// before the cascade consumes the bounced entry (degenerate L1).
+  /// current query: the L1 copy when admitted (valid until the next L1
+  /// insert or erase — the eviction cascade only writes the write buffer
+  /// and the SSD tiers), else a scratch copy taken before the cascade
+  /// consumes the bounced entry (degenerate L1).
   const ResultEntry* promote_result(ResultEntry entry, std::uint64_t freq,
                                     std::uint64_t born);
 

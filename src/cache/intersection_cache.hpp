@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <utility>
 
-#include "src/util/lru_map.hpp"
+#include "src/util/flat_lru_map.hpp"
 #include "src/util/types.hpp"
 
 namespace ssdse {
@@ -56,7 +56,7 @@ class IntersectionCache {
  private:
   Bytes capacity_;
   Bytes used_ = 0;
-  LruMap<std::uint64_t, CachedIntersection> map_;
+  FlatLruMap<std::uint64_t, CachedIntersection> map_;
   IntersectionCacheStats stats_;
 };
 

@@ -190,10 +190,7 @@ Micros LruSsdListCache::insert(TermId term, Bytes bytes, std::uint64_t freq,
     ++stats_.rejected_too_large;
     return Micros{};
   }
-  if (Entry* existing = map_.peek(term)) {
-    for (const auto& [start, len] : existing->runs) alloc_.free(start, len);
-    map_.erase(term);
-  }
+  erase(term);  // a rewrite releases the old copy's pages first
   while (alloc_.free_pages() < pages && !map_.empty()) evict_lru();
   Entry e;
   if (!alloc_.alloc(pages, e.runs)) {

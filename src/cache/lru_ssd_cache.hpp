@@ -17,7 +17,7 @@
 #include "src/cache/mem_result_cache.hpp"
 #include "src/cache/policy.hpp"
 #include "src/ssd/ssd.hpp"
-#include "src/util/lru_map.hpp"
+#include "src/util/flat_lru_map.hpp"
 
 namespace ssdse {
 
@@ -37,6 +37,7 @@ class LruSsdResultCache {
 
   /// `io_status` (optional) receives the flash read's status; on
   /// kUncorrectable the entry is dropped and nullptr returned (miss).
+  /// A hit is valid until the next insert or erase on this cache.
   const ResultEntry* lookup(QueryId qid, std::uint64_t& freq_out,
                             Micros& time, std::uint64_t* born_out = nullptr,
                             IoStatus* io_status = nullptr);
@@ -60,7 +61,7 @@ class LruSsdResultCache {
   std::uint32_t pages_per_slot_;
   std::uint32_t num_slots_;
   std::vector<std::uint32_t> free_slots_;
-  LruMap<QueryId, Slot> map_;
+  FlatLruMap<QueryId, Slot> map_;
   LruSsdStats stats_;
 };
 
@@ -102,6 +103,7 @@ class LruSsdListCache {
   /// whatever it fetched; early termination bounds that for every
   /// policy). Reads the needed pages on a hit. `io_status` (optional)
   /// receives the read status; kUncorrectable drops the entry -> miss.
+  /// A hit is valid until the next insert or erase on this cache.
   const Entry* lookup(TermId term, Bytes needed_bytes, Micros& time,
                       IoStatus* io_status = nullptr);
 
@@ -122,7 +124,7 @@ class LruSsdListCache {
   Ssd& ssd_;
   Bytes page_bytes_;
   PageRunAllocator alloc_;
-  LruMap<TermId, Entry> map_;
+  FlatLruMap<TermId, Entry> map_;
   LruSsdStats stats_;
 };
 

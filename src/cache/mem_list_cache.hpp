@@ -61,10 +61,6 @@ class MemListCache {
   CachePolicy policy_;
   std::uint32_t window_;
   Bytes used_ = 0;
-  // Open-addressing backing store (DESIGN.md §13): recency semantics —
-  // and therefore eviction order and fingerprints — identical to the
-  // LruMap it replaced; probes are one flat-array walk instead of
-  // unordered_map bucket chains plus list-node hops.
   FlatLruMap<TermId, CachedList> map_;
 };
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "src/engine/result.hpp"
-#include "src/util/lru_map.hpp"
+#include "src/util/flat_lru_map.hpp"
 
 namespace ssdse {
 
@@ -20,11 +20,11 @@ struct CachedResult {
 };
 
 /// Outcome of MemResultCache::insert. `handle` points at the cached
-/// copy — stable (LRU-list-node backed) until that entry is evicted or
-/// erased, so callers can serve a hit without a second hash probe.
-/// When the cache cannot hold even one entry (capacity below
-/// kResultEntryBytes), the inserted entry itself lands in `evicted`
-/// and `handle` is null.
+/// copy and stays valid until the next insert or erase on this cache
+/// (FlatLruMap lifetime rule), so callers can serve a hit without a
+/// second hash probe. When the cache cannot hold even one entry
+/// (capacity below kResultEntryBytes), the inserted entry itself lands
+/// in `evicted` and `handle` is null.
 struct MemInsert {
   CachedResult* handle = nullptr;
   std::vector<CachedResult> evicted;
@@ -34,12 +34,13 @@ class MemResultCache {
  public:
   explicit MemResultCache(Bytes capacity);
 
-  /// Hit: bumps recency + frequency and returns the entry.
+  /// Hit: bumps recency + frequency and returns the entry (valid until
+  /// the next insert or erase on this cache).
   const CachedResult* lookup(QueryId qid);
 
   /// Insert a fresh entry (or refresh an existing one). Entries evicted
   /// to make room are returned for the manager to consider for SSD,
-  /// alongside a stable handle to the admitted copy (see MemInsert).
+  /// alongside a handle to the admitted copy (see MemInsert).
   MemInsert insert(ResultEntry entry, std::uint64_t freq = 1,
                    std::uint64_t born = 0);
 
@@ -55,7 +56,7 @@ class MemResultCache {
  private:
   Bytes capacity_;
   std::size_t max_entries_;
-  LruMap<QueryId, CachedResult> map_;
+  FlatLruMap<QueryId, CachedResult> map_;
 };
 
 }  // namespace ssdse

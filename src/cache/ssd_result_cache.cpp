@@ -129,33 +129,23 @@ bool SsdResultCache::resurrect(QueryId qid) {
   return true;
 }
 
-void SsdResultCache::drop_rb(std::uint32_t cb) {
-  RbInfo* rb = rbs_.peek(cb);
-  assert(rb != nullptr);
-  for (std::size_t s = 0; s < rb->entries.size(); ++s) {
-    if (rb->slot_state[s] != 2) ++stats_.entries_dropped_by_overwrite;
-    map_.erase(rb->entries[s].entry.query);
-  }
-  rbs_.erase(cb);
-}
-
 std::optional<std::uint32_t> SsdResultCache::acquire_block() {
   if (auto cb = file_.alloc()) return cb;
   if (rbs_.empty()) return std::nullopt;
   // Fig. 11: scan the Replace-First Region (last W RBs of the LRU list)
   // for the block with the largest IREN; ties resolved toward LRU end.
-  auto best = rbs_.rbegin();
-  std::uint32_t best_iren = best->second.iren;
+  auto best = rbs_.lru_handle();
   std::uint32_t scanned = 0;
-  for (auto it = rbs_.rbegin(); it != rbs_.rend() && scanned < window_;
-       ++it, ++scanned) {
-    if (it->second.iren > best_iren) {
-      best = it;
-      best_iren = it->second.iren;
-    }
+  for (auto h = best; h != decltype(rbs_)::npos && scanned < window_;
+       h = rbs_.more_recent(h), ++scanned) {
+    if (rbs_.value_at(h).iren > rbs_.value_at(best).iren) best = h;
   }
-  const std::uint32_t victim = best->first;
-  drop_rb(victim);
+  const std::uint32_t victim = rbs_.key_at(best);
+  const RbInfo rb = rbs_.erase_handle(best);
+  for (std::size_t s = 0; s < rb.entries.size(); ++s) {
+    if (rb.slot_state[s] != 2) ++stats_.entries_dropped_by_overwrite;
+    map_.erase(rb.entries[s].entry.query);
+  }
   return victim;
 }
 
@@ -215,11 +205,13 @@ Micros SsdResultCache::insert_rb(std::span<CachedResult> entries) {
 
 void SsdResultCache::export_image(std::vector<RbImage>& out,
                                   std::vector<RbImage>& static_out) const {
-  // Dynamic RBs, MRU-first — the LruMap order is the log order CBLRU
-  // victimization depends on, so the snapshot preserves it exactly.
-  for (const auto& [cb, rb] : rbs_) {
+  // Dynamic RBs, MRU-first — the map's recency order is the log order
+  // CBLRU victimization depends on, so the snapshot preserves it exactly.
+  for (auto h = rbs_.mru_handle(); h != decltype(rbs_)::npos;
+       h = rbs_.less_recent(h)) {
+    const RbInfo& rb = rbs_.value_at(h);
     RbImage image;
-    image.cb = cb;
+    image.cb = rbs_.key_at(h);
     image.slots.reserve(rb.entries.size());
     for (std::size_t s = 0; s < rb.entries.size(); ++s) {
       const CachedResult& e = rb.entries[s];
@@ -268,7 +260,7 @@ Micros SsdResultCache::restore_image(
     static_rbs_.push_back(std::move(rb));
     static_blocks_.push_back(image.cb);
   }
-  // Insert LRU-first so the final LruMap order matches the image's
+  // Insert LRU-first so the rebuilt recency order matches the image's
   // MRU-first order.
   for (auto it = rbs.rbegin(); it != rbs.rend(); ++it) {
     const RbImage& image = *it;

@@ -23,6 +23,7 @@
 #include "src/cache/mem_result_cache.hpp"
 #include "src/cache/policy.hpp"
 #include "src/cache/ssd_cache_file.hpp"
+#include "src/util/flat_lru_map.hpp"
 
 namespace ssdse {
 
@@ -48,6 +49,9 @@ class SsdResultCache {
   /// (optional) receives the flash read's status: on kUncorrectable the
   /// entry is invalidated internally and nullptr is returned — exactly
   /// the miss path, just with the failed read's latency in `time`.
+  /// The returned entry lives in its RB's slot vector, whose buffer
+  /// moves with the RB inside the map: valid until that RB is
+  /// overwritten.
   const ResultEntry* lookup(QueryId qid, std::uint64_t& freq_out,
                             Micros& time, std::uint64_t* born_out = nullptr,
                             IoStatus* io_status = nullptr);
@@ -114,13 +118,12 @@ class SsdResultCache {
   [[nodiscard]] std::uint32_t pages_per_slot() const;
   /// Choose the overwrite victim per Fig. 11; evicts its entries.
   std::optional<std::uint32_t> acquire_block();
-  void drop_rb(std::uint32_t cb);
 
   SsdCacheFile& file_;
   std::uint32_t window_;
   std::uint32_t slots_per_rb_;
   CacheJournalSink* journal_ = nullptr;
-  LruMap<std::uint32_t, RbInfo> rbs_;           // key: cache block id
+  FlatLruMap<std::uint32_t, RbInfo> rbs_;       // key: cache block id
   std::unordered_map<QueryId, Loc> map_;        // dynamic entries
   std::unordered_map<QueryId, Loc> static_map_; // pinned entries
   std::vector<RbInfo> static_rbs_;              // indexed by Loc.rb

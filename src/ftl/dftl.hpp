@@ -14,7 +14,7 @@
 #include <memory>
 
 #include "src/ftl/page_ftl.hpp"
-#include "src/util/lru_map.hpp"
+#include "src/util/flat_lru_map.hpp"
 
 namespace ssdse {
 
@@ -59,7 +59,7 @@ class Dftl final : public Ftl {
 
   DftlConfig cfg_;
   PageFtl inner_;
-  LruMap<Lpn, bool> cmt_;  // value: dirty flag
+  FlatLruMap<Lpn, bool> cmt_;  // value: dirty flag
   DftlStats dstats_;
 };
 

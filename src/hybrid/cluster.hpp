@@ -68,6 +68,8 @@ struct ReplicationSnapshot {
   std::uint64_t retries = 0;
   std::uint64_t hedges = 0;
   std::uint64_t hedge_wins = 0;
+  /// Shard requests whose first attempt went to a replica other than 0
+  /// — up to queries x shards, not the number of routing changes.
   std::uint64_t failovers = 0;
   std::uint64_t shards_dropped = 0;
   std::uint64_t shards_failed = 0;  // dropped with a fault-classified reply
@@ -100,7 +102,7 @@ class SearchCluster {
     std::uint32_t retries = 0;          // extra attempts this query
     std::uint32_t hedges = 0;
     std::uint32_t hedge_wins = 0;
-    std::uint32_t failovers = 0;        // groups served by a non-0 primary
+    std::uint32_t failovers = 0;        // groups whose first try was not replica 0
     double coverage = 1.0;     // shards_included / num_shards
     ResultEntry result;        // merged global top-K (included shards)
   };

@@ -110,7 +110,7 @@ struct GroupReply {
   std::uint32_t retries = 0;
   std::uint32_t hedges = 0;
   std::uint32_t hedge_wins = 0;
-  std::uint32_t failovers = 0;      // primary was not replica 0
+  std::uint32_t failovers = 0;      // 1 iff the first try was not replica 0
   std::uint64_t observed_faults = 0;  // fault-counter deltas this query
   Micros backoff_us = micros(0);            // jittered pauses charged this query
   Micros overhead = micros(0);              // response minus final attempt time
@@ -155,6 +155,8 @@ class ReplicaGroup {
   [[nodiscard]] std::uint64_t retries() const { return retries_; }
   [[nodiscard]] std::uint64_t hedges() const { return hedges_; }
   [[nodiscard]] std::uint64_t hedge_wins() const { return hedge_wins_; }
+  /// Served requests whose first attempt went to a replica other than
+  /// 0 (one per request, not per routing change).
   [[nodiscard]] std::uint64_t failovers() const { return failovers_; }
   [[nodiscard]] std::uint64_t observed_faults() const {
     return observed_faults_;

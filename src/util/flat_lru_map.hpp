@@ -1,21 +1,23 @@
-// Open-addressing LRU map (DESIGN.md §13): the flat successor to
-// LruMap for hot per-query caches. One contiguous slot array doubles as
-// hash table (linear probing, power-of-two capacity, backward-shift
-// deletion, max load ~0.7) and node storage — the recency list is
-// intrusive, linking slot indices instead of heap-allocated list nodes.
-// A probe touches one cache line instead of chasing unordered_map
-// buckets plus std::list nodes; steady-state churn allocates nothing.
+// Generic O(1) LRU-ordered map, the backbone of every cache in this
+// project (DESIGN.md §13). One contiguous slot array doubles as hash
+// table (linear probing, power-of-two capacity, backward-shift deletion,
+// max load ~0.7) and node storage — the recency list is intrusive,
+// linking slot indices instead of heap-allocated list nodes. A probe
+// touches one cache line; steady-state churn allocates nothing.
 //
-// Recency semantics are IDENTICAL to LruMap by construction — the order
-// is carried entirely by the intrusive list, which hash layout cannot
-// perturb — so swapping the backing container under MemListCache keeps
-// eviction order and every downstream fingerprint bit-identical (pinned
-// by tests/mem_cache_test.cpp and BENCH_PR7.json).
+// Recency order lives entirely in the intrusive list, which hash layout
+// cannot perturb, so eviction order depends only on the op sequence.
 //
-// Handles: a handle is the entry's slot index, valid until the next
-// insert or erase (erase relocates probe-chain neighbours; insert may
-// grow the table). The Replace-First-Region scan pattern — walk from the
-// LRU end read-only, then erase the chosen victim — fits this contract.
+// The cache policies in src/cache need more than "evict the LRU item":
+// CBLRU scans a *Replace-First Region* (a window at the LRU end) and
+// picks victims by cost inside it, so the map exposes handle walks from
+// either end and erase-by-handle, not only pop_lru().
+//
+// Lifetimes: a handle (the entry's slot index) and every value pointer
+// or reference the map returns stay valid only until the next insert,
+// erase, pop_lru or clear on the same map — removal relocates
+// probe-chain neighbours and insert may grow the table. Walk read-only,
+// then mutate; copy what must outlive the next mutation.
 #pragma once
 
 #include <cassert>
@@ -96,12 +98,16 @@ class FlatLruMap {
   }
 
   // --- handle interface (Replace-First-Region scans) -------------------
-  // Walk from lru_handle() toward the MRU end via more_recent(); handles
-  // stay valid across reads, invalidated by insert/erase.
+  // Walk from lru_handle() toward the MRU end via more_recent(), or from
+  // mru_handle() toward the LRU end via less_recent(); npos ends a walk.
 
   [[nodiscard]] std::uint32_t lru_handle() const { return tail_; }
+  [[nodiscard]] std::uint32_t mru_handle() const { return head_; }
   [[nodiscard]] std::uint32_t more_recent(std::uint32_t h) const {
     return slots_[h].prev;
+  }
+  [[nodiscard]] std::uint32_t less_recent(std::uint32_t h) const {
+    return slots_[h].next;
   }
   const K& key_at(std::uint32_t h) const { return slots_[h].key; }
   V& value_at(std::uint32_t h) { return slots_[h].value; }

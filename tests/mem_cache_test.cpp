@@ -1,10 +1,14 @@
+#include <algorithm>
+#include <cstddef>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/cache/mem_list_cache.hpp"
 #include "src/cache/mem_result_cache.hpp"
 #include "src/index/inverted_index.hpp"
 #include "src/util/flat_lru_map.hpp"
-#include "src/util/lru_map.hpp"
 #include "src/util/rng.hpp"
 
 namespace ssdse {
@@ -193,96 +197,151 @@ TEST(MemListCacheTest, MultipleEvictionsUntilFit) {
   EXPECT_TRUE(cache.contains(TermId{3}));
 }
 
-// --- FlatLruMap vs LruMap shadow equivalence ----------------------------
-// The open-addressing swap (DESIGN.md §13) is only legal because recency
-// semantics are identical. Drive both containers through the same
+// --- FlatLruMap against a model -----------------------------------------
+// Every LRU tier's eviction order rests on FlatLruMap's recency
+// semantics. Drive it and an obviously correct model through the same
 // randomized op stream and demand identical observable behaviour at
-// every step, including full LRU-order drains at checkpoints.
+// every step, with full order walks from both ends at checkpoints.
+// Vector values make table growth and backward-shift relocation move
+// non-trivial payloads; the key range forces several table grows.
 
-TEST(FlatLruMapTest, ShadowsLruMapUnderRandomizedChurn) {
-  LruMap<TermId, std::uint64_t> ref;
-  FlatLruMap<TermId, std::uint64_t> flat;
+/// Reference LRU: an MRU-first vector searched linearly.
+template <typename K, typename V>
+struct ModelLru {
+  std::vector<std::pair<K, V>> items;  // front = MRU
+
+  std::size_t index_of(const K& k) const {
+    return static_cast<std::size_t>(
+        std::find_if(items.begin(), items.end(),
+                     [&](const auto& e) { return e.first == k; }) -
+        items.begin());
+  }
+  V* peek(const K& k) {
+    const std::size_t i = index_of(k);
+    return i == items.size() ? nullptr : &items[i].second;
+  }
+  V* touch(const K& k) {
+    const std::size_t i = index_of(k);
+    if (i == items.size()) return nullptr;
+    std::rotate(items.begin(), items.begin() + static_cast<std::ptrdiff_t>(i),
+                items.begin() + static_cast<std::ptrdiff_t>(i + 1));
+    return &items.front().second;
+  }
+  void insert(const K& k, V v) {
+    if (V* existing = touch(k)) {
+      *existing = std::move(v);
+    } else {
+      items.emplace(items.begin(), k, std::move(v));
+    }
+  }
+  V erase_at(std::size_t i) {
+    V v = std::move(items[i].second);
+    items.erase(items.begin() + static_cast<std::ptrdiff_t>(i));
+    return v;
+  }
+};
+
+TEST(FlatLruMapTest, MatchesModelUnderRandomizedChurn) {
+  using Value = std::vector<std::uint64_t>;
+  using Map = FlatLruMap<TermId, Value>;
+  Map flat;
+  ModelLru<TermId, Value> model;
   Rng rng(4242);
-  for (int step = 0; step < 20'000; ++step) {
-    const auto key = static_cast<TermId>(rng.next_below(200));
-    switch (rng.next_below(4)) {
-      case 0: {
-        const std::uint64_t v = rng.next_u64();
-        ref.insert(key, v);
+  std::size_t peak = 0;
+  for (int step = 0; step < 30'000; ++step) {
+    const auto key = static_cast<TermId>(rng.next_below(1'500));
+    switch (rng.next_below(10)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3: {  // insert or overwrite
+        const Value v(1 + rng.next_below(4), rng.next_u64());
+        model.insert(key, v);
         flat.insert(key, v);
         break;
       }
-      case 1: {
-        auto* rv = ref.touch(key);
-        auto* fv = flat.touch(key);
-        ASSERT_EQ(rv == nullptr, fv == nullptr) << "step " << step;
-        if (rv) {
-          ASSERT_EQ(*rv, *fv) << "step " << step;
+      case 4: {
+        const Value* mv = model.touch(key);
+        const Value* fv = flat.touch(key);
+        ASSERT_EQ(mv == nullptr, fv == nullptr) << "step " << step;
+        if (mv) {
+          ASSERT_EQ(*mv, *fv) << "step " << step;
         }
         break;
       }
-      case 2: {
-        const auto re = ref.erase(key);
+      case 5: {
+        const Value* mv = model.peek(key);
+        const Value* fv = flat.peek(key);
+        ASSERT_EQ(mv == nullptr, fv == nullptr) << "step " << step;
+        if (mv) {
+          ASSERT_EQ(*mv, *fv) << "step " << step;
+        }
+        break;
+      }
+      case 6: {
+        const std::size_t i = model.index_of(key);
         const auto fe = flat.erase(key);
-        ASSERT_EQ(re.has_value(), fe.has_value()) << "step " << step;
-        if (re) {
-          ASSERT_EQ(*re, *fe) << "step " << step;
+        ASSERT_EQ(i != model.items.size(), fe.has_value()) << "step " << step;
+        if (fe) {
+          ASSERT_EQ(model.erase_at(i), *fe) << "step " << step;
         }
         break;
       }
-      case 3: {
-        const auto rp = ref.pop_lru();
+      case 7: {
         const auto fp = flat.pop_lru();
-        ASSERT_EQ(rp.has_value(), fp.has_value()) << "step " << step;
-        if (rp) {
-          ASSERT_EQ(rp->first, fp->first) << "step " << step;
-          ASSERT_EQ(rp->second, fp->second) << "step " << step;
+        ASSERT_EQ(model.items.empty(), !fp.has_value()) << "step " << step;
+        if (fp) {
+          ASSERT_EQ(model.items.back().first, fp->first) << "step " << step;
+          ASSERT_EQ(model.erase_at(model.items.size() - 1), fp->second)
+              << "step " << step;
+        }
+        break;
+      }
+      case 8: {  // erase_handle a few entries in from the LRU end
+        if (model.items.empty()) break;
+        const std::size_t depth =
+            rng.next_below(std::min<std::size_t>(model.items.size(), 8));
+        auto h = flat.lru_handle();
+        for (std::size_t d = 0; d < depth; ++d) h = flat.more_recent(h);
+        const std::size_t i = model.items.size() - 1 - depth;
+        ASSERT_EQ(flat.key_at(h), model.items[i].first) << "step " << step;
+        ASSERT_EQ(flat.erase_handle(h), model.erase_at(i)) << "step " << step;
+        break;
+      }
+      case 9: {  // rare clear; the table keeps its grown capacity
+        if (rng.next_below(500) == 0) {
+          flat.clear();
+          model.items.clear();
         }
         break;
       }
     }
-    ASSERT_EQ(ref.size(), flat.size()) << "step " << step;
-    ASSERT_EQ(ref.contains(key), flat.contains(key)) << "step " << step;
-    if (step % 4'000 == 3'999) {
-      // Checkpoint: the full LRU->MRU orders must match exactly.
-      auto h = flat.lru_handle();
-      for (auto it = ref.rbegin(); it != ref.rend(); ++it) {
-        ASSERT_NE(h, (FlatLruMap<TermId, std::uint64_t>::npos))
-            << "order walk at step " << step;
-        ASSERT_EQ(flat.key_at(h), it->first) << "order walk at step " << step;
-        ASSERT_EQ(flat.value_at(h), it->second)
-            << "order walk at step " << step;
+    peak = std::max(peak, flat.size());
+    ASSERT_EQ(model.items.size(), flat.size()) << "step " << step;
+    ASSERT_EQ(model.peek(key) != nullptr, flat.contains(key))
+        << "step " << step;
+    if (step % 2'000 == 1'999) {
+      // Checkpoint: full orders from both ends must match exactly.
+      auto h = flat.mru_handle();
+      for (const auto& [k, v] : model.items) {
+        ASSERT_NE(h, Map::npos) << "MRU walk at step " << step;
+        ASSERT_EQ(flat.key_at(h), k) << "MRU walk at step " << step;
+        ASSERT_EQ(flat.value_at(h), v) << "MRU walk at step " << step;
+        h = flat.less_recent(h);
+      }
+      ASSERT_EQ(h, Map::npos);
+      h = flat.lru_handle();
+      for (auto it = model.items.rbegin(); it != model.items.rend(); ++it) {
+        ASSERT_NE(h, Map::npos) << "LRU walk at step " << step;
+        ASSERT_EQ(flat.key_at(h), it->first) << "LRU walk at step " << step;
         h = flat.more_recent(h);
       }
-      ASSERT_EQ(h, (FlatLruMap<TermId, std::uint64_t>::npos));
+      ASSERT_EQ(h, Map::npos);
     }
   }
-}
-
-TEST(FlatLruMapTest, HandleScanMatchesReverseIteration) {
-  LruMap<TermId, int> ref;
-  FlatLruMap<TermId, int> flat;
-  Rng rng(17);
-  for (int i = 0; i < 500; ++i) {
-    const auto key = static_cast<TermId>(rng.next_below(100));
-    const int v = static_cast<int>(rng.next_below(1'000));
-    ref.insert(key, v);
-    flat.insert(key, v);
-    if (rng.chance(0.3)) {
-      const auto t = static_cast<TermId>(rng.next_below(100));
-      ref.touch(t);
-      flat.touch(t);
-    }
-  }
-  // Walk LRU -> MRU through both interfaces.
-  auto h = flat.lru_handle();
-  for (auto it = ref.rbegin(); it != ref.rend(); ++it) {
-    ASSERT_NE(h, (FlatLruMap<TermId, int>::npos));
-    EXPECT_EQ(flat.key_at(h), it->first);
-    EXPECT_EQ(flat.value_at(h), it->second);
-    h = flat.more_recent(h);
-  }
-  EXPECT_EQ(h, (FlatLruMap<TermId, int>::npos));
+  // 16 slots to start, grown at 70 % load: a peak above 180 entries
+  // means at least five grows (32, 64, 128, 256 and 512 slots).
+  EXPECT_GT(peak, 180u);
 }
 
 // --- encoded-byte cached-size accounting --------------------------------

@@ -6,7 +6,7 @@
 #include "src/index/posting.hpp"
 #include "src/ssd/ssd.hpp"
 #include "src/util/bitmap.hpp"
-#include "src/util/lru_map.hpp"
+#include "src/util/flat_lru_map.hpp"
 #include "src/util/rng.hpp"
 
 namespace ssdse {
@@ -63,27 +63,10 @@ TEST(SsdWearTest, WearFractionsTrackErases) {
               ssd.wear_fraction(10'000), 1e-12);
 }
 
-// --- LruMap iterator erase ------------------------------------------------
+// --- FlatLruMap clear -------------------------------------------------------
 
-TEST(LruMapEdgeTest, EraseByIteratorKeepsIndexConsistent) {
-  LruMap<int, int> m;
-  for (int i = 0; i < 5; ++i) m.insert(i, i * 10);
-  // Erase the middle entry via iterator.
-  auto it = m.begin();
-  ++it;
-  ++it;
-  it = m.erase(it);
-  EXPECT_EQ(m.size(), 4u);
-  // The erased key is gone; the rest survive and stay ordered.
-  int found = 0;
-  for (const auto& [k, v] : m) found += k;
-  EXPECT_EQ(found, 0 + 1 + 3 + 4);
-  EXPECT_EQ(m.peek(2), nullptr);
-  EXPECT_NE(m.peek(3), nullptr);
-}
-
-TEST(LruMapEdgeTest, ClearEmptiesEverything) {
-  LruMap<int, int> m;
+TEST(FlatLruMapEdgeTest, ClearEmptiesEverything) {
+  FlatLruMap<int, int> m;
   m.insert(1, 1);
   m.clear();
   EXPECT_TRUE(m.empty());
