@@ -5,65 +5,38 @@
 // materialized index (DESIGN.md §13): exhaustive vs pruned DAAT,
 // per-codec, with the bit-identical-results verdict in the table.
 #include <algorithm>
-#include <chrono>
 
 #include "bench/bench_common.hpp"
-#include "src/engine/daat.hpp"
-#include "src/util/rng.hpp"
-#include "src/workload/query_log.hpp"
 
 using namespace ssdse;
 using namespace ssdse::bench;
 
 namespace {
 
-/// Exhaustive-vs-pruned cells on a materialized corpus built with
+/// Exhaustive-vs-pruned cells on the DAAT workload's corpus built with
 /// `codec`. Returns rows for both pruning settings.
 void pruning_cells(const std::string& codec, std::uint64_t queries,
                    Table& t) {
-  CorpusConfig cc;
-  cc.num_docs = 40'000;
-  cc.vocab_size = 2'000;
-  cc.terms_per_doc = 60;
-  cc.max_df_fraction = 0.10;
-  cc.seed = 2012;
-  cc.codec = codec;
-  Rng rng(99);
-  MaterializedCorpus corpus(cc, rng);
-  MaterializedIndex index(corpus);
+  const DaatWorkload w(queries, codec);
+  const MaterializedIndex& index = *w.index;
 
-  QueryLogConfig qc;
-  qc.distinct_queries = 50'000;
-  qc.vocab_size = cc.vocab_size;
-  qc.min_terms = 2;
-  qc.max_terms = 3;
-  qc.seed = 17;
-  QueryLogGenerator gen(qc);
-  std::vector<Query> batch;
-  batch.reserve(queries);
-  for (std::uint64_t i = 0; i < queries; ++i) batch.push_back(gen.next());
-
-  // ssdse-lint: allow(nondeterminism) wall-clock measures real throughput only
-  using Clock = std::chrono::steady_clock;
   DaatProcessor oracle(kTopK);
   std::vector<ResultEntry> reference;
-  reference.reserve(batch.size());
+  reference.reserve(w.batch.size());
   auto t0 = Clock::now();
-  for (const Query& q : batch) {
+  for (const Query& q : w.batch) {
     reference.push_back(oracle.intersect(index, q));
   }
-  const double oracle_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  const double oracle_ms = ms_since(t0);
 
   MaxScoreDaatProcessor pruned(kTopK);
   bool identical = true;
   t0 = Clock::now();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const ResultEntry r = pruned.intersect(index, batch[i]);
+  for (std::size_t i = 0; i < w.batch.size(); ++i) {
+    const ResultEntry r = pruned.intersect(index, w.batch[i]);
     identical &= r.docs == reference[i].docs;
   }
-  const double pruned_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  const double pruned_ms = ms_since(t0);
 
   const double encoded_mib =
       static_cast<double>(index.block_store().encoded_bytes()) / MiB;

@@ -1,15 +1,22 @@
 // Shared helpers for the reproduction benches: the standard experiment
-// header (Tables II/III), common configurations, and small formatting
-// utilities.
+// header (Tables II/III), common configurations, the DAAT workload, and
+// small timing and formatting utilities.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "src/engine/daat.hpp"
 #include "src/hybrid/run_report.hpp"
 #include "src/hybrid/search_system.hpp"
+#include "src/util/rng.hpp"
 #include "src/util/table.hpp"
+#include "src/workload/query_log.hpp"
 
 namespace ssdse::bench {
 
@@ -26,14 +33,75 @@ inline void print_environment(const char* experiment) {
       "Zipf\n\n");
 }
 
-/// Number of queries for full-system runs; override with SSDSE_QUERIES
-/// to trade fidelity for speed.
-inline std::uint64_t default_queries(std::uint64_t fallback = 50'000) {
-  if (const char* env = std::getenv("SSDSE_QUERIES")) {
+/// The positive count in environment variable `name`, else `fallback`.
+inline std::uint64_t env_count(const char* name, std::uint64_t fallback) {
+  if (const char* env = std::getenv(name)) {
     const auto v = std::strtoull(env, nullptr, 10);
     if (v > 0) return v;
   }
   return fallback;
+}
+
+/// Number of queries for full-system runs; override with SSDSE_QUERIES
+/// to trade fidelity for speed.
+inline std::uint64_t default_queries(std::uint64_t fallback = 50'000) {
+  return env_count("SSDSE_QUERIES", fallback);
+}
+
+// ssdse-lint: allow(nondeterminism) wall-clock measures real throughput only
+using Clock = std::chrono::steady_clock;
+
+inline double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+      .count();
+}
+
+/// The DAAT workload: a 40k-doc materialized corpus (seed 2012) and a
+/// fixed batch from the query log (seed 17). perf_driver's daat phase
+/// pins its fingerprint at 20k queries; codec_pruning and
+/// ablation_codec time the block-max processor on the same queries.
+struct DaatWorkload {
+  explicit DaatWorkload(std::uint64_t queries,
+                        const std::string& codec = "raw") {
+    CorpusConfig cc;
+    cc.num_docs = 40'000;
+    cc.vocab_size = 2'000;
+    cc.terms_per_doc = 60;
+    cc.max_df_fraction = 0.10;
+    cc.seed = 2012;
+    cc.codec = codec;
+    Rng rng(99);
+    corpus = std::make_unique<MaterializedCorpus>(cc, rng);
+    index = std::make_unique<MaterializedIndex>(*corpus);
+
+    QueryLogConfig qc;
+    qc.distinct_queries = 50'000;
+    qc.vocab_size = cc.vocab_size;
+    qc.min_terms = 2;
+    qc.max_terms = 3;
+    qc.seed = 17;
+    QueryLogGenerator gen(qc);
+    batch.reserve(queries);
+    for (std::uint64_t i = 0; i < queries; ++i) batch.push_back(gen.next());
+  }
+
+  std::unique_ptr<MaterializedCorpus> corpus;
+  std::unique_ptr<MaterializedIndex> index;
+  std::vector<Query> batch;
+};
+
+/// Fold one query into the daat fingerprint: docs_scored +
+/// postings_touched, then an FNV-style mix of each (doc, score bits).
+inline std::uint64_t fold_checksum(std::uint64_t checksum,
+                                   const DaatStats& stats,
+                                   const ResultEntry& r) {
+  checksum += stats.docs_scored + stats.postings_touched;
+  for (const ScoredDoc& d : r.docs) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &d.score, sizeof bits);
+    checksum = checksum * 1099511628211ull + d.doc.raw() + bits;
+  }
+  return checksum;
 }
 
 /// The paper's standard 5M-document cell.

@@ -11,9 +11,6 @@
 //  3. *Conservation.* shed + served == offered in every cell.
 //  4. *Determinism.* Re-running the 1x cell on a fresh cluster
 //     reproduces the windowed-series fingerprint bit for bit.
-//  5. *Zero-traffic pins.* With the harness unused, the perf_driver
-//     phases reproduce their pinned fingerprints (enforced only at the
-//     full query counts, like codec_pruning).
 //
 // "1x" means the utilization target (0.75 of saturation), not rho = 1:
 // an open-loop queue at exactly rho = 1 is a random walk and no SLO
@@ -31,35 +28,18 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "src/engine/daat.hpp"
 #include "src/hybrid/traffic.hpp"
 #include "src/telemetry/json_writer.hpp"
-#include "src/util/rng.hpp"
 
 using namespace ssdse;
 using namespace ssdse::bench;
 
 namespace {
 
-// Pinned zero-traffic fingerprints (PR 2/3, re-gated every PR since).
-constexpr std::uint64_t kDaatPin = 9983495460346675520ull;
-constexpr std::uint64_t kCachePinPpm = 322028;
-constexpr std::uint64_t kSsdPinPpm = 508879;
-constexpr std::uint64_t kFullSystemQueries = 40'000;
-constexpr std::uint64_t kFullDaatQueries = 20'000;
-
 constexpr double kUtilizationTarget = 0.75;
 constexpr std::uint32_t kServers = 4;
 constexpr std::size_t kQueueCapacity = 256;
 constexpr Micros kWindow = kSecond;
-
-std::uint64_t env_count(const char* name, std::uint64_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    const auto v = std::strtoull(env, nullptr, 10);
-    if (v > 0) return v;
-  }
-  return fallback;
-}
 
 ClusterConfig traffic_cluster() {
   ClusterConfig cfg;
@@ -174,79 +154,11 @@ CellOutcome run_cell(const TrafficCell& cell, const Calibration& cal,
   return out;
 }
 
-// ---- Zero-traffic pins: the perf_driver phases, reproduced ----------
-
-std::uint64_t daat_fingerprint(std::uint64_t queries) {
-  CorpusConfig cc;
-  cc.num_docs = 40'000;
-  cc.vocab_size = 2'000;
-  cc.terms_per_doc = 60;
-  cc.max_df_fraction = 0.10;
-  cc.seed = 2012;
-  Rng rng(99);
-  MaterializedCorpus corpus(cc, rng);
-  MaterializedIndex index(corpus);
-
-  QueryLogConfig qc;
-  qc.distinct_queries = 50'000;
-  qc.vocab_size = cc.vocab_size;
-  qc.min_terms = 2;
-  qc.max_terms = 3;
-  qc.seed = 17;
-  QueryLogGenerator gen(qc);
-
-  DaatProcessor daat(/*top_k=*/kTopK);
-  std::uint64_t checksum = 0;
-  for (std::uint64_t i = 0; i < queries; ++i) {
-    const Query q = gen.next();
-    DaatStats stats;
-    const ResultEntry r = daat.intersect(index, q, &stats);
-    checksum += stats.docs_scored + stats.postings_touched;
-    for (const ScoredDoc& d : r.docs) {
-      std::uint32_t bits;
-      std::memcpy(&bits, &d.score, sizeof bits);
-      checksum = checksum * 1099511628211ull + d.doc.raw() + bits;
-    }
-  }
-  return checksum;
-}
-
-std::uint64_t coverage_ppm(SystemConfig cfg, std::uint64_t queries) {
-  SearchSystem system(cfg);
-  system.run(queries);
-  system.drain();
-  return static_cast<std::uint64_t>(
-      1e6 * system.metrics().request_coverage());
-}
-
-std::uint64_t cache_fingerprint(std::uint64_t queries) {
-  SystemConfig cfg = paper_system(CachePolicy::kCblru);
-  cfg.cache.l2 = false;
-  cfg.set_memory_budget(64 * MiB);
-  cfg.cache.l2 = false;  // set_memory_budget sizes SSD fields; keep off
-  cfg.training_queries = 0;
-  return coverage_ppm(cfg, queries);
-}
-
-std::uint64_t ssd_fingerprint(std::uint64_t queries) {
-  return coverage_ppm(paper_system(CachePolicy::kCbslru), queries);
-}
-
-struct PinResult {
-  const char* name;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t expected = 0;
-  bool match = false;
-};
-
 }  // namespace
 
 int main() {
   print_environment("Extension — open-loop traffic, SLOs, tail attribution");
   const std::uint64_t offered = default_queries(20'000);
-  const std::uint64_t system_queries = default_queries(40'000);
-  const std::uint64_t daat_queries =
-      env_count("SSDSE_DAAT_QUERIES", kFullDaatQueries);
   const std::uint64_t calibration_queries =
       std::min<std::uint64_t>(4'000, std::max<std::uint64_t>(offered / 4, 500));
 
@@ -298,26 +210,6 @@ int main() {
   }
   t.print();
 
-  // Zero-traffic guard: harness unused, prior fingerprints must hold.
-  const bool pins_enforced = system_queries == kFullSystemQueries &&
-                             daat_queries == kFullDaatQueries;
-  std::printf("\nzero-traffic fingerprints (%s)...\n",
-              pins_enforced ? "enforced" : "reported only: reduced counts");
-  std::vector<PinResult> pins;
-  pins.push_back({"daat", daat_fingerprint(daat_queries), kDaatPin, false});
-  pins.push_back(
-      {"cache", cache_fingerprint(system_queries), kCachePinPpm, false});
-  pins.push_back({"ssd", ssd_fingerprint(system_queries), kSsdPinPpm, false});
-  bool pins_match = true;
-  for (PinResult& p : pins) {
-    p.match = p.fingerprint == p.expected;
-    pins_match = pins_match && p.match;
-    std::printf("  %-5s %llu (pin %llu) %s\n", p.name,
-                static_cast<unsigned long long>(p.fingerprint),
-                static_cast<unsigned long long>(p.expected),
-                p.match ? "ok" : "MISMATCH");
-  }
-
   const bool slo_met_at_1x = cells[1].pass;
   const bool breach_at_2x = cells[2].result.slo.front().breach_windows > 0;
   const bool attributed =
@@ -325,18 +217,15 @@ int main() {
   bool conservation = true;
   for (const CellOutcome& c : cells) conservation = conservation && c.conservation;
   conservation = conservation && repeat.conservation;
-  const bool zero_traffic_ok = !pins_enforced || pins_match;
   const bool pass = slo_met_at_1x && breach_at_2x && attributed &&
-                    conservation && determinism && zero_traffic_ok &&
-                    cells[0].pass;
+                    conservation && determinism && cells[0].pass;
 
   std::printf(
       "\ngates: met@1x %s, breach@2x %s, attributed %s (%s), "
-      "conservation %s, determinism %s, zero-traffic %s\n",
+      "conservation %s, determinism %s\n",
       slo_met_at_1x ? "ok" : "FAIL", breach_at_2x ? "ok" : "FAIL",
       attributed ? "ok" : "FAIL", cells[2].result.guilty_stage.c_str(),
-      conservation ? "ok" : "FAIL", determinism ? "ok" : "FAIL",
-      zero_traffic_ok ? "ok" : "FAIL");
+      conservation ? "ok" : "FAIL", determinism ? "ok" : "FAIL");
 
   // ---- BENCH_PR8.json -------------------------------------------------
   telemetry::JsonWriter w;
@@ -438,26 +327,6 @@ int main() {
   w.key("match");
   w.value(determinism);
   w.end_object();
-  w.key("zero_traffic");
-  w.begin_object();
-  w.key("enforced");
-  w.value(pins_enforced);
-  w.key("phases");
-  w.begin_array();
-  for (const PinResult& p : pins) {
-    w.begin_object();
-    w.key("name");
-    w.value(p.name);
-    w.key("fingerprint");
-    w.value(p.fingerprint);
-    w.key("expected");
-    w.value(p.expected);
-    w.key("match");
-    w.value(p.match);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
   w.key("gates");
   w.begin_object();
   w.key("slo_met_at_1x");
@@ -470,8 +339,6 @@ int main() {
   w.value(conservation);
   w.key("determinism");
   w.value(determinism);
-  w.key("zero_traffic");
-  w.value(zero_traffic_ok);
   w.key("pass");
   w.value(pass);
   w.end_object();

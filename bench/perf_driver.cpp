@@ -13,42 +13,29 @@
 //
 // Each phase also records a result checksum / coverage figure so a
 // before/after comparison can assert the optimization changed *time
-// only*, never output.
+// only*, never output. At the full query counts every phase must
+// reproduce its pinned fingerprint, or the driver exits non-zero; this
+// is the one place the pins are enforced.
 //
 // Override query counts with SSDSE_QUERIES (system phases) and
-// SSDSE_DAAT_QUERIES; output path with SSDSE_BENCH_OUT; the daat-phase
-// processor with SSDSE_DAAT_MODE ("exhaustive" | "block-max").
-#include <chrono>
+// SSDSE_DAAT_QUERIES; output path with SSDSE_BENCH_OUT.
 #include <cstdio>
-#include <cstring>
 
 #include "bench/bench_common.hpp"
-#include "src/engine/daat.hpp"
 #include "src/hybrid/run_report.hpp"
 #include "src/telemetry/tracer.hpp"
-#include "src/util/rng.hpp"
-#include "src/workload/query_log.hpp"
 
 using namespace ssdse;
 using namespace ssdse::bench;
 
 namespace {
 
-// ssdse-lint: allow(nondeterminism) wall-clock measures real throughput only
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-      .count();
-}
-
-std::uint64_t env_count(const char* name, std::uint64_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    const auto v = std::strtoull(env, nullptr, 10);
-    if (v > 0) return v;
-  }
-  return fallback;
-}
+// The pinned fingerprints, enforced at the full query counts.
+constexpr std::uint64_t kFullDaatQueries = 20'000;
+constexpr std::uint64_t kFullSystemQueries = 40'000;
+constexpr std::uint64_t kDaatPin = 9983495460346675520ull;
+constexpr std::uint64_t kCachePinPpm = 322028;
+constexpr std::uint64_t kSsdPinPpm = 508879;
 
 struct PhaseResult {
   const char* name;
@@ -58,35 +45,11 @@ struct PhaseResult {
   /// Output fingerprint: DAAT result checksum or request coverage in
   /// parts-per-million. Must be invariant under perf-only changes.
   std::uint64_t fingerprint = 0;
-};
+  /// The fingerprint this phase must reproduce at its full query count.
+  std::uint64_t pin = 0;
+  bool pin_enforced = false;  // ran at the full query count
 
-/// The daat-phase workload, shared with the zero-overhead trace guard.
-struct DaatWorkload {
-  explicit DaatWorkload(std::uint64_t queries) {
-    CorpusConfig cc;
-    cc.num_docs = 40'000;
-    cc.vocab_size = 2'000;
-    cc.terms_per_doc = 60;
-    cc.max_df_fraction = 0.10;
-    cc.seed = 2012;
-    Rng rng(99);
-    corpus = std::make_unique<MaterializedCorpus>(cc, rng);
-    index = std::make_unique<MaterializedIndex>(*corpus);
-
-    QueryLogConfig qc;
-    qc.distinct_queries = 50'000;
-    qc.vocab_size = cc.vocab_size;
-    qc.min_terms = 2;
-    qc.max_terms = 3;
-    qc.seed = 17;
-    QueryLogGenerator gen(qc);
-    batch.reserve(queries);
-    for (std::uint64_t i = 0; i < queries; ++i) batch.push_back(gen.next());
-  }
-
-  std::unique_ptr<MaterializedCorpus> corpus;
-  std::unique_ptr<MaterializedIndex> index;
-  std::vector<Query> batch;
+  [[nodiscard]] bool pin_match() const { return fingerprint == pin; }
 };
 
 /// The daat hot loop. `kTraced=false` compiles the span calls away
@@ -102,12 +65,7 @@ std::uint64_t daat_loop(const DaatWorkload& w,
     if constexpr (kTraced) tracer->begin_query(q.id);
     DaatStats stats;
     const ResultEntry r = daat.intersect(*w.index, q, &stats);
-    checksum += stats.docs_scored + stats.postings_touched;
-    for (const ScoredDoc& d : r.docs) {
-      std::uint32_t bits;
-      std::memcpy(&bits, &d.score, sizeof bits);
-      checksum = checksum * 1099511628211ull + d.doc.raw() + bits;
-    }
+    checksum = fold_checksum(checksum, stats, r);
     if constexpr (kTraced) {
       tracer->add_span(telemetry::TraceStage::kDaatScore,
                        static_cast<Micros>(stats.postings_touched));
@@ -120,38 +78,14 @@ std::uint64_t daat_loop(const DaatWorkload& w,
 /// Phase 1: the DAAT engine on a materialized index. Build cost (the
 /// one-time doc-sorted materialization) is excluded: the simulator
 /// builds once and serves millions of queries.
-///
-/// SSDSE_DAAT_MODE selects the processor ("exhaustive" default,
-/// "block-max" for the pruned path). Exhaustive stays the default: the
-/// pinned fingerprint folds DaatStats, which pruning legitimately
-/// changes (the results never do — BENCH_PR7.json gates that).
-PhaseResult run_daat_phase(std::uint64_t queries, DaatMode mode) {
+PhaseResult run_daat_phase(std::uint64_t queries) {
   DaatWorkload w(queries);
-  if (mode == DaatMode::kBlockMax) {
-    MaxScoreDaatProcessor daat(/*top_k=*/kTopK);
-    const auto t0 = Clock::now();
-    std::uint64_t checksum = 0;
-    for (const Query& q : w.batch) {
-      DaatStats stats;
-      const ResultEntry r = daat.intersect(*w.index, q, &stats);
-      checksum += stats.docs_scored + stats.postings_touched;
-      for (const ScoredDoc& d : r.docs) {
-        std::uint32_t bits;
-        std::memcpy(&bits, &d.score, sizeof bits);
-        checksum = checksum * 1099511628211ull + d.doc.raw() + bits;
-      }
-    }
-    const double wall = ms_since(t0);
-    return PhaseResult{"daat", queries, wall,
-                       1000.0 * static_cast<double>(queries) / wall,
-                       checksum};
-  }
   const auto t0 = Clock::now();
   const std::uint64_t checksum = daat_loop<false>(w, nullptr);
   const double wall = ms_since(t0);
   return PhaseResult{"daat", queries, wall,
-                     1000.0 * static_cast<double>(queries) / wall,
-                     checksum};
+                     1000.0 * static_cast<double>(queries) / wall, checksum,
+                     kDaatPin, queries == kFullDaatQueries};
 }
 
 /// Zero-overhead guard: the telemetry layer must never tax the hot path
@@ -197,7 +131,7 @@ TraceGuardResult run_trace_guard(std::uint64_t queries) {
 /// time it, fingerprint the request coverage. When `report_path` is
 /// set, the phase additionally emits the telemetry run report.
 PhaseResult run_system_phase(const char* name, SystemConfig cfg,
-                             std::uint64_t queries,
+                             std::uint64_t queries, std::uint64_t pin_ppm,
                              const char* report_path = nullptr) {
   SearchSystem system(cfg);
   const auto t0 = Clock::now();
@@ -213,7 +147,7 @@ PhaseResult run_system_phase(const char* name, SystemConfig cfg,
       1e6 * system.metrics().request_coverage());
   return PhaseResult{name, queries, wall,
                      1000.0 * static_cast<double>(queries) / wall,
-                     coverage_ppm};
+                     coverage_ppm, pin_ppm, queries == kFullSystemQueries};
 }
 
 /// Phase 2: memory-only cache hierarchy at web scale (no flash model).
@@ -223,7 +157,7 @@ PhaseResult run_cache_phase(std::uint64_t queries) {
   cfg.set_memory_budget(64 * MiB);
   cfg.cache.l2 = false;  // set_memory_budget sizes SSD fields; keep off
   cfg.training_queries = 0;
-  return run_system_phase("cache", cfg, queries);
+  return run_system_phase("cache", cfg, queries, kCachePinPpm);
 }
 
 /// Phase 3: the full two-level hierarchy — the fig14_hit_ratio-scale
@@ -231,7 +165,7 @@ PhaseResult run_cache_phase(std::uint64_t queries) {
 /// the phase whose telemetry report the CI schema check validates.
 PhaseResult run_ssd_phase(std::uint64_t queries, const char* report_path) {
   SystemConfig cfg = paper_system(CachePolicy::kCbslru);
-  return run_system_phase("ssd", cfg, queries, report_path);
+  return run_system_phase("ssd", cfg, queries, kSsdPinPpm, report_path);
 }
 
 void write_json(const char* path, const std::vector<PhaseResult>& phases,
@@ -255,10 +189,14 @@ void write_json(const char* path, const std::vector<PhaseResult>& phases,
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"queries\": %llu, "
                  "\"wall_ms\": %.3f, \"qps\": %.1f, "
-                 "\"fingerprint\": %llu}%s\n",
+                 "\"fingerprint\": %llu, \"pin\": %llu, "
+                 "\"pin_enforced\": %s, \"pin_match\": %s}%s\n",
                  p.name, static_cast<unsigned long long>(p.queries),
                  p.wall_ms, p.qps,
                  static_cast<unsigned long long>(p.fingerprint),
+                 static_cast<unsigned long long>(p.pin),
+                 p.pin_enforced ? "true" : "false",
+                 p.pin_match() ? "true" : "false",
                  i + 1 < phases.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -281,30 +219,28 @@ void write_json(const char* path, const std::vector<PhaseResult>& phases,
 
 int main() {
   print_environment("perf driver — simulator wall-clock throughput");
-  const auto system_queries = default_queries(40'000);
-  const auto daat_queries = env_count("SSDSE_DAAT_QUERIES", 20'000);
+  const auto system_queries = default_queries(kFullSystemQueries);
+  const auto daat_queries = env_count("SSDSE_DAAT_QUERIES", kFullDaatQueries);
   const char* out = std::getenv("SSDSE_BENCH_OUT");
   if (!out) out = "BENCH_PR3.json";
   const char* telemetry_out = std::getenv("SSDSE_TELEMETRY_OUT");
   if (!telemetry_out) telemetry_out = "TELEMETRY.json";
 
-  const char* mode_name = std::getenv("SSDSE_DAAT_MODE");
-  const DaatMode mode =
-      mode_name != nullptr ? daat_mode(mode_name) : DaatMode::kExhaustive;
-
   std::vector<PhaseResult> phases;
-  phases.push_back(run_daat_phase(daat_queries, mode));
-  std::printf("  daat : %8.1f q/s  (%.0f ms, fingerprint %llu)\n",
-              phases.back().qps, phases.back().wall_ms,
-              static_cast<unsigned long long>(phases.back().fingerprint));
-  phases.push_back(run_cache_phase(system_queries));
-  std::printf("  cache: %8.1f q/s  (%.0f ms, coverage %llu ppm)\n",
-              phases.back().qps, phases.back().wall_ms,
-              static_cast<unsigned long long>(phases.back().fingerprint));
-  phases.push_back(run_ssd_phase(system_queries, telemetry_out));
-  std::printf("  ssd  : %8.1f q/s  (%.0f ms, coverage %llu ppm)\n",
-              phases.back().qps, phases.back().wall_ms,
-              static_cast<unsigned long long>(phases.back().fingerprint));
+  bool pins_ok = true;
+  const auto record = [&](const PhaseResult& p) {
+    std::printf("  %-5s: %8.1f q/s  (%.0f ms, fingerprint %llu, pin %s)\n",
+                p.name, p.qps, p.wall_ms,
+                static_cast<unsigned long long>(p.fingerprint),
+                !p.pin_enforced ? "not enforced at this query count"
+                : p.pin_match() ? "matches"
+                                : "MISMATCH");
+    pins_ok = pins_ok && (!p.pin_enforced || p.pin_match());
+    phases.push_back(p);
+  };
+  record(run_daat_phase(daat_queries));
+  record(run_cache_phase(system_queries));
+  record(run_ssd_phase(system_queries, telemetry_out));
 
   const TraceGuardResult guard = run_trace_guard(daat_queries);
   std::printf("  trace guard: wall ratio %.3f (idle-instrumented / "
@@ -317,6 +253,11 @@ int main() {
   write_json(out, phases, guard);
   std::printf("wrote %s and %s\n", out, telemetry_out);
 
+  if (!pins_ok) {
+    std::fprintf(stderr,
+                 "perf_driver: a phase fingerprint differs from its pin\n");
+    return 1;
+  }
   if (!guard.pass) {
     std::fprintf(stderr,
                  "perf_driver: zero-overhead trace guard FAILED "

@@ -5,7 +5,8 @@ Usage: check_bench_json.py <file.json> [more.json ...]
 
 Four document shapes are recognized:
   * perf_driver bench files ("bench": "perf_driver") — phase timings,
-    fingerprints and the zero-overhead trace guard;
+    fingerprints, the pinned-fingerprint match per phase, and the
+    zero-overhead trace guard;
   * fault-injection bench files ("bench": "ext_faults") — DESIGN.md §10:
     per-cell fault/breaker accounting, with the two robustness gates
     (fingerprints bit-identical across fault rates; the breaker tripped
@@ -17,7 +18,7 @@ Four document shapes are recognized:
     mid-segment and post-merge);
   * open-loop traffic bench files ("bench": "ext_traffic") — DESIGN.md
     §14: calibration, the offered-load sweep cells with SLO verdicts and
-    tail attribution, plus the determinism and zero-traffic gates;
+    tail attribution, plus the determinism gate;
   * replication bench files ("bench": "ext_replica") — DESIGN.md §15:
     the replication-factor x fault x load sweep with per-cell broker
     accounting (retries + hedges <= dispatches, failovers <= dispatches,
@@ -137,11 +138,24 @@ def check_bench(doc, path):
     require(names == EXPECTED_PHASES,
             f"phase names must be {EXPECTED_PHASES}, got {names}")
     for p in phases:
-        check_counters(p, f"phase '{p.get('name')}'")
+        ctx = f"phase '{p.get('name')}'"
+        check_counters(p, ctx)
         require(isinstance(p.get("fingerprint"), int) and
                 p["fingerprint"] >= 0,
-                f"phase '{p.get('name')}': 'fingerprint' must be a "
-                "non-negative integer")
+                f"{ctx}: 'fingerprint' must be a non-negative integer")
+        # Artifacts from before the pins moved into perf_driver carry
+        # no pin keys.
+        if "pin" in p:
+            require(isinstance(p["pin"], int) and p["pin"] > 0,
+                    f"{ctx}: 'pin' must be a positive integer")
+            require(isinstance(p.get("pin_enforced"), bool),
+                    f"{ctx}: 'pin_enforced' must be a bool")
+            require(p.get("pin_match") == (p["fingerprint"] == p["pin"]),
+                    f"{ctx}: 'pin_match' inconsistent with the fingerprint")
+            if p["pin_enforced"]:
+                require(p["pin_match"],
+                        f"{ctx}: fingerprint {p['fingerprint']} does not "
+                        f"match the pin {p['pin']}")
 
     if "trace_guard" in doc:
         check_trace_guard(doc["trace_guard"])
@@ -387,8 +401,8 @@ def check_ext_ingest(doc, path):
           f"identical, oracle exact over {oracle['probes']} probes)")
 
 
-PINNED_DAAT_FINGERPRINT = 9983495460346675520
 MIN_PACKED_RATIO = 2.5
+MIN_PRUNED_FRACTION = 0.10
 
 
 def check_codec_pruning(doc, path):
@@ -418,8 +432,8 @@ def check_codec_pruning(doc, path):
     require(isinstance(pr, dict), "'pruning' must be an object")
     require(isinstance(pr.get("queries"), int) and pr["queries"] > 0,
             "pruning: 'queries' must be a positive integer")
-    for key in ("oracle_qps", "pruned_qps", "baseline_qps",
-                "oracle_wall_ms", "pruned_wall_ms"):
+    for key in ("oracle_qps", "pruned_qps", "oracle_wall_ms",
+                "pruned_wall_ms"):
         require(is_num(pr.get(key)) and pr[key] > 0,
                 f"pruning: '{key}' must be positive")
     for key in ("blocks_decoded", "blocks_skipped", "prune_jumps",
@@ -433,23 +447,12 @@ def check_codec_pruning(doc, path):
     # oracle on every query.
     require(pr.get("results_identical") is True,
             "pruning: pruned results diverged from the oracle")
-    # Gate 2: the exhaustive oracle still reproduces the pinned daat
-    # fingerprint (only pinned at the full query count).
-    require(isinstance(pr.get("fingerprint_reference"), bool),
-            "pruning: 'fingerprint_reference' must be a bool")
-    if pr["fingerprint_reference"]:
-        require(pr.get("oracle_fingerprint") == PINNED_DAAT_FINGERPRINT,
-                f"pruning: oracle fingerprint "
-                f"{pr.get('oracle_fingerprint')} does not match the "
-                f"pin {PINNED_DAAT_FINGERPRINT}")
-    # Gate 3 (Release builds): pruned throughput beats the baseline
-    # floor outright, decode cost included.
-    require(isinstance(pr.get("enforced"), bool),
-            "pruning: 'enforced' must be a bool")
-    if pr["enforced"]:
-        require(pr["pruned_qps"] > pr["baseline_qps"],
-                f"pruning: pruned_qps {pr['pruned_qps']} does not beat "
-                f"the baseline floor {pr['baseline_qps']}")
+    # Gate 2: the bound checks leave a deterministic share of the
+    # postings unevaluated. Throughput is reported, not gated: wall time
+    # on a shared machine is noise.
+    require(frac >= MIN_PRUNED_FRACTION,
+            f"pruning: postings_pruned_fraction {frac} below the "
+            f"{MIN_PRUNED_FRACTION} gate")
     # The mechanism must demonstrably fire: a pass with zero jumps
     # would validate nothing.
     require(pr["prune_jumps"] > 0, "pruning: no prune jumps recorded")
@@ -458,9 +461,8 @@ def check_codec_pruning(doc, path):
     require(doc.get("pass") is True, "codec_pruning gate did not pass")
 
     print(f"check_bench_json: OK ({path}: codec_pruning, "
-          f"ratio {comp['packed_ratio']}x, pruned "
-          f"{pr['pruned_qps']:.1f} q/s vs floor {pr['baseline_qps']:.0f}, "
-          f"results identical over {pr['queries']} queries)")
+          f"ratio {comp['packed_ratio']}x, {100 * frac:.1f}% of postings "
+          f"pruned, results identical over {pr['queries']} queries)")
 
 
 def check_slo_entry(s, ctx):
@@ -640,7 +642,7 @@ def check_traffic_sections(doc, ctx="traffic"):
 EXT_TRAFFIC_EXPECTS = {"met", "breach", "none"}
 EXT_TRAFFIC_GATES = ("slo_met_at_1x", "breach_at_2x",
                      "attributed_queue_wait_at_2x", "conservation",
-                     "determinism", "zero_traffic")
+                     "determinism")
 
 
 def check_ext_traffic(doc, path):
@@ -741,26 +743,6 @@ def check_ext_traffic(doc, path):
     require(det.get("match") is True
             and det["fingerprint_a"] == det["fingerprint_b"],
             "determinism: repeated run fingerprints differ")
-
-    zt = doc.get("zero_traffic")
-    require(isinstance(zt, dict), "'zero_traffic' must be an object")
-    require(isinstance(zt.get("enforced"), bool),
-            "zero_traffic: 'enforced' must be a bool")
-    phases = zt.get("phases")
-    require(isinstance(phases, list) and
-            [p.get("name") for p in phases] == EXPECTED_PHASES,
-            f"zero_traffic: phases must be {EXPECTED_PHASES}")
-    for p in phases:
-        ctx = f"zero_traffic phase '{p.get('name')}'"
-        for key in ("fingerprint", "expected"):
-            require(isinstance(p.get(key), int) and p[key] > 0,
-                    f"{ctx}: '{key}' must be a positive integer")
-        require(isinstance(p.get("match"), bool),
-                f"{ctx}: 'match' must be a bool")
-        if zt["enforced"]:
-            require(p["match"] and p["fingerprint"] == p["expected"],
-                    f"{ctx}: fingerprint {p['fingerprint']} does not "
-                    f"match the pin {p['expected']}")
 
     gates = doc.get("gates")
     require(isinstance(gates, dict), "'gates' must be an object")

@@ -143,7 +143,10 @@ std::optional<std::uint32_t> SsdResultCache::acquire_block() {
   const std::uint32_t victim = rbs_.key_at(best);
   const RbInfo rb = rbs_.erase_handle(best);
   for (std::size_t s = 0; s < rb.entries.size(); ++s) {
-    if (rb.slot_state[s] != 2) ++stats_.entries_dropped_by_overwrite;
+    // An invalidated slot lost its mapping when it was invalidated; its
+    // query may since have been rewritten into a newer RB.
+    if (rb.slot_state[s] == 2) continue;
+    ++stats_.entries_dropped_by_overwrite;
     map_.erase(rb.entries[s].entry.query);
   }
   return victim;

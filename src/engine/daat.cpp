@@ -3,66 +3,27 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace ssdse {
 
-DaatMode daat_mode(const std::string& name) {
-  if (name == "exhaustive") return DaatMode::kExhaustive;
-  if (name == "block-max") return DaatMode::kBlockMax;
-  throw std::invalid_argument("unknown daat mode: " + name);
-}
+DocSortedList::DocSortedList(const PostingList& list)
+    : DocSortedList(std::vector<Posting>(list.postings().begin(),
+                                         list.postings().end())) {}
 
-DocSortedList::DocSortedList(const PostingList& list,
-                             std::uint32_t skip_interval) {
-  postings_.assign(list.postings().begin(), list.postings().end());
-  std::sort(postings_.begin(), postings_.end(),
-            [](const Posting& a, const Posting& b) { return a.doc < b.doc; });
-  skip_interval_ = std::max(skip_interval, 1u);
-  for (std::uint32_t i = 0; i < postings_.size(); i += skip_interval_) {
-    skip_index_.push_back(i);
-    skip_doc_.push_back(postings_[i].doc);
-  }
-}
-
-DocSortedList::DocSortedList(std::vector<Posting> postings,
-                             std::uint32_t skip_interval)
+DocSortedList::DocSortedList(std::vector<Posting> postings)
     : postings_(std::move(postings)) {
   std::sort(postings_.begin(), postings_.end(),
             [](const Posting& a, const Posting& b) { return a.doc < b.doc; });
-  skip_interval_ = std::max(skip_interval, 1u);
-  for (std::uint32_t i = 0; i < postings_.size(); i += skip_interval_) {
-    skip_index_.push_back(i);
-    skip_doc_.push_back(postings_[i].doc);
-  }
 }
 
-std::size_t DocSortedList::advance(std::size_t from, DocId target,
-                                   std::uint64_t* skips_used) const {
-  if (from >= postings_.size()) return postings_.size();
-  if (postings_[from].doc >= target) return from;
-  // Skip phase: binary-search the skip table for the last entry whose
-  // doc id is still below the target, starting past `from`.
-  auto it = std::upper_bound(skip_doc_.begin(), skip_doc_.end(), target);
-  std::size_t pos = from;
-  if (it != skip_doc_.begin()) {
-    const auto skip_slot =
-        static_cast<std::size_t>(it - skip_doc_.begin()) - 1;
-    const std::size_t skip_pos = skip_index_[skip_slot];
-    if (skip_pos > pos) {
-      if (skips_used) {
-        // Count hops as the number of skip entries leapt over, derived
-        // from the stored interval (the table shape degenerates when it
-        // has a single entry).
-        const std::size_t from_slot = from / skip_interval_;
-        *skips_used += skip_slot > from_slot ? skip_slot - from_slot : 1;
-      }
-      pos = skip_pos;
-    }
-  }
-  // Scan phase.
-  while (pos < postings_.size() && postings_[pos].doc < target) ++pos;
-  return pos;
+std::size_t DocSortedList::advance(std::size_t from, DocId target) const {
+  const auto first =
+      postings_.begin() +
+      static_cast<std::ptrdiff_t>(std::min(from, postings_.size()));
+  return static_cast<std::size_t>(
+      std::lower_bound(first, postings_.end(), target,
+                       [](const Posting& p, DocId t) { return p.doc < t; }) -
+      postings_.begin());
 }
 
 ResultEntry DaatProcessor::intersect(const MaterializedIndex& index,
@@ -82,28 +43,18 @@ ResultEntry DaatProcessor::intersect(const MaterializedIndex& index,
     for (TermId t : query.terms) views_.push_back(index.doc_sorted(t));
   } else {
     // Churn path: dirty terms get their current postings materialized
-    // into scratch (skip-less views — a pure scan advances to the same
-    // positions a skip table would, so results match the rebuilt-index
-    // oracle; only skip_hops differs). Clean terms keep their arena
-    // slice and skip table but need the idf refreshed, since N already
-    // counts the live doc slots.
+    // into scratch; clean terms keep their arena slice. Either way the
+    // idf is refreshed, since N already counts the live doc slots.
     const double n_docs = static_cast<double>(index.num_docs());
     if (scratch_.size() < n) scratch_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       const TermId t = query.terms[i];
-      if (index.live_doc_sorted(t, scratch_[i])) {
-        const std::vector<Posting>& s = scratch_[i];
-        views_.emplace_back(
-            s.data(), static_cast<std::uint32_t>(s.size()), nullptr, 0, 1,
-            std::log(1.0 + n_docs / (static_cast<double>(s.size()) + 1.0)));
-      } else {
-        const DocSortedView v = index.doc_sorted(t);
-        views_.emplace_back(
-            v.postings().data(), static_cast<std::uint32_t>(v.size()),
-            v.skips().data(), static_cast<std::uint32_t>(v.skips().size()),
-            v.skip_interval(),
-            std::log(1.0 + n_docs / (static_cast<double>(v.size()) + 1.0)));
-      }
+      const std::span<const Posting> p =
+          index.live_doc_sorted(t, scratch_[i])
+              ? std::span<const Posting>(scratch_[i])
+              : index.doc_sorted(t).postings();
+      views_.emplace_back(
+          p, std::log(1.0 + n_docs / (static_cast<double>(p.size()) + 1.0)));
     }
   }
   order_.resize(n);
@@ -116,7 +67,7 @@ ResultEntry DaatProcessor::intersect(const MaterializedIndex& index,
 
   cursor_.assign(n, 0);
   top_docs_.reset(top_k_);
-  std::uint64_t matched = 0, skip_hops = 0, touched = 0;
+  std::uint64_t matched = 0, touched = 0;
 
   const DocSortedView& driver = views_[order_[0]];
   const double driver_idf = driver.idf();
@@ -129,7 +80,7 @@ ResultEntry DaatProcessor::intersect(const MaterializedIndex& index,
     for (std::size_t k = 1; k < n && all; ++k) {
       const DocSortedView& list = views_[order_[k]];
       std::size_t& cur = cursor_[order_[k]];
-      cur = list.advance(cur, candidate, &skip_hops);
+      cur = list.advance(cur, candidate);
       ++touched;
       if (cur >= list.size()) {
         // This list is exhausted: no further candidate can match.
@@ -151,14 +102,13 @@ ResultEntry DaatProcessor::intersect(const MaterializedIndex& index,
       ++dpos;
     } else {
       // Leap the driver to the blocking list's doc id.
-      dpos = driver.advance(dpos, next_candidate, &skip_hops);
+      dpos = driver.advance(dpos, next_candidate);
     }
   }
 
   if (stats) {
     stats->docs_scored = matched;
     stats->postings_touched = touched;
-    stats->skip_hops = skip_hops;
   }
   out.docs = top_docs_.take_sorted();
   return out;
@@ -200,21 +150,17 @@ const Posting& MaxScoreDaatProcessor::at(Cursor& c, std::uint32_t pos) {
 }
 
 std::uint32_t MaxScoreDaatProcessor::advance(Cursor& c, std::uint32_t from,
-                                             DocId target,
-                                             std::uint64_t* skip_hops) {
+                                             DocId target) {
   if (from >= c.size) return c.size;
   if (c.flat != nullptr) {
-    // Churn scratch: plain scan, mirroring the oracle's skip-less view.
-    std::uint32_t pos = from;
-    while (pos < c.size && c.flat[pos].doc < target) ++pos;
-    return pos;
+    return static_cast<std::uint32_t>(
+        gallop(std::span(c.flat, c.size), from, target, &Posting::doc));
   }
   const std::uint32_t b = from / kBlockPostings;
   const std::uint32_t tb = c.view.find_block(b, target);
   if (tb >= c.view.num_blocks()) return c.size;
   std::uint32_t rel;
   if (tb != b) {
-    if (skip_hops != nullptr) *skip_hops += tb - b;
     pruning_.blocks_skipped += tb - b - 1;  // blocks leapt, never decoded
     rel = 0;
   } else {
@@ -291,7 +237,7 @@ ResultEntry MaxScoreDaatProcessor::intersect(const MaterializedIndex& index,
   if (drv.size == 0) return out;
 
   top_docs_.reset(top_k_);
-  std::uint64_t matched = 0, skip_hops = 0, touched = 0;
+  std::uint64_t matched = 0, touched = 0;
   const double driver_idf = drv.idf;
   constexpr DocId kMaxDoc = std::numeric_limits<DocId>::max();
 
@@ -339,8 +285,7 @@ ResultEntry MaxScoreDaatProcessor::intersect(const MaterializedIndex& index,
       if (static_cast<float>(ub) < top_docs_.worst().score) {
         const std::uint32_t before = drv.pos;
         drv.pos = jump == kMaxDoc ? drv.size
-                                  : advance(drv, drv.pos, jump + 1,
-                                            &skip_hops);
+                                  : advance(drv, drv.pos, jump + 1);
         ++pruning_.prune_jumps;
         pruning_.postings_pruned += drv.pos - before;
         continue;
@@ -353,7 +298,7 @@ ResultEntry MaxScoreDaatProcessor::intersect(const MaterializedIndex& index,
     DocId next_candidate = candidate + 1;
     for (std::size_t k = 1; k < n && all; ++k) {
       Cursor& c = cursors_[order_[k]];
-      c.pos = advance(c, c.pos, candidate, &skip_hops);
+      c.pos = advance(c, c.pos, candidate);
       ++touched;
       if (c.pos >= c.size) {
         // This list is exhausted: no further candidate can match.
@@ -375,14 +320,13 @@ ResultEntry MaxScoreDaatProcessor::intersect(const MaterializedIndex& index,
       top_docs_.push(ScoredDoc{candidate, static_cast<float>(score)});
       ++drv.pos;
     } else {
-      drv.pos = advance(drv, drv.pos, next_candidate, &skip_hops);
+      drv.pos = advance(drv, drv.pos, next_candidate);
     }
   }
 
   if (stats) {
     stats->docs_scored = matched;
     stats->postings_touched = touched;
-    stats->skip_hops = skip_hops;
   }
   out.docs = top_docs_.take_sorted();
   return out;
@@ -426,7 +370,7 @@ ResultEntry NaiveDaatProcessor::intersect(const MaterializedIndex& index,
 
   std::vector<std::size_t> cursor(lists.size(), 0);
   std::vector<ScoredDoc> matches;
-  std::uint64_t skip_hops = 0, touched = 0;
+  std::uint64_t touched = 0;
 
   const DocSortedList& driver = lists[order[0]];
   for (std::size_t dpos = 0; dpos < driver.size();) {
@@ -437,7 +381,7 @@ ResultEntry NaiveDaatProcessor::intersect(const MaterializedIndex& index,
     DocId next_candidate = candidate + 1;
     for (std::size_t k = 1; k < order.size() && all; ++k) {
       const std::size_t li = order[k];
-      cursor[li] = lists[li].advance(cursor[li], candidate, &skip_hops);
+      cursor[li] = lists[li].advance(cursor[li], candidate);
       ++touched;
       if (cursor[li] >= lists[li].size()) {
         // This list is exhausted: no further candidate can match.
@@ -459,7 +403,7 @@ ResultEntry NaiveDaatProcessor::intersect(const MaterializedIndex& index,
       ++dpos;
     } else {
       // Leap the driver to the blocking list's doc id.
-      dpos = driver.advance(dpos, next_candidate, &skip_hops);
+      dpos = driver.advance(dpos, next_candidate);
     }
   }
 
@@ -474,7 +418,6 @@ ResultEntry NaiveDaatProcessor::intersect(const MaterializedIndex& index,
   if (stats) {
     stats->docs_scored = matches.size();
     stats->postings_touched = touched;
-    stats->skip_hops = skip_hops;
   }
   matches.resize(k);
   out.docs = std::move(matches);

@@ -1,8 +1,9 @@
-// Document-at-a-time (DAAT) conjunctive query processing with skip
-// pointers — the Lucene-style mechanism behind the paper's "skipped
-// reads" (§III): doc-id-ordered lists are intersected by repeatedly
-// advancing the laggard cursor, and skip entries let advance() leap over
-// runs of postings instead of scanning them.
+// Document-at-a-time (DAAT) conjunctive query processing: doc-id-ordered
+// lists are intersected by repeatedly advancing the laggard cursor. Every
+// cursor moves by galloping from its position (src/index/gallop.hpp),
+// which leaps runs of postings without the skip tables Lucene keeps;
+// the paper's "skipped reads" (§III) are modelled in simulated time by
+// CacheManager, not here.
 //
 // Three processors share the algorithm (DESIGN.md §8, §13):
 //  * DaatProcessor — the exhaustive hot path: consumes the index's
@@ -16,12 +17,12 @@
 //    bit-identical top-K to DaatProcessor by construction (see the
 //    invariant notes at the implementation);
 //  * NaiveDaatProcessor — the seed reference implementation, which
-//    rebuilds a DocSortedList per query; kept for the equivalence suite
-//    that pins the hot path to bit-identical results.
+//    rebuilds a DocSortedList per query and advances with a plain
+//    std::lower_bound; kept for the equivalence suite that pins the hot
+//    path to bit-identical results.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/engine/query.hpp"
@@ -32,54 +33,35 @@
 
 namespace ssdse {
 
-/// Which DAAT processor a harness drives ("exhaustive" = DaatProcessor,
-/// "block-max" = MaxScoreDaatProcessor). The exhaustive mode stays the
-/// default everywhere a fingerprint is pinned: its DaatStats feed those
-/// fingerprints, and pruning legitimately changes the stats (never the
-/// top-K).
-enum class DaatMode : std::uint8_t { kExhaustive, kBlockMax };
-
-/// Parse a mode name; throws std::invalid_argument on unknown names.
-DaatMode daat_mode(const std::string& name);
-
-/// Doc-id-sorted projection of a posting list with a one-level skip
-/// table (every `skip_interval` postings). Owns a per-query copy; the
-/// hot path uses the index's precomputed DocSortedView instead.
+/// Doc-id-sorted projection of a posting list. Owns a per-query copy;
+/// the hot path uses the index's precomputed DocSortedView instead.
 class DocSortedList {
  public:
   DocSortedList() = default;
-  explicit DocSortedList(const PostingList& list,
-                         std::uint32_t skip_interval = 64);
+  explicit DocSortedList(const PostingList& list);
   /// From raw postings (any order); used by the live-index equivalence
   /// paths, where a term's current postings come from an overlay merge
   /// rather than a stored PostingList.
-  explicit DocSortedList(std::vector<Posting> postings,
-                         std::uint32_t skip_interval = 64);
+  explicit DocSortedList(std::vector<Posting> postings);
 
   [[nodiscard]] std::size_t size() const { return postings_.size(); }
   [[nodiscard]] bool empty() const { return postings_.empty(); }
   const Posting& operator[](std::size_t i) const { return postings_[i]; }
 
   /// Smallest index i >= `from` with doc id >= `target`, or size() if
-  /// none. Uses the skip table first, then scans; `skips_used`
-  /// accumulates how many skip hops were taken (observability for the
-  /// skipped-read analysis).
-  std::size_t advance(std::size_t from, DocId target,
-                      std::uint64_t* skips_used = nullptr) const;
+  /// none: a std::lower_bound over [from, size()), independent of the
+  /// hot path's galloping search.
+  [[nodiscard]] std::size_t advance(std::size_t from, DocId target) const;
 
   [[nodiscard]] std::span<const Posting> postings() const { return postings_; }
 
  private:
   std::vector<Posting> postings_;  // doc-id ascending
-  std::vector<std::uint32_t> skip_index_;  // indices into postings_
-  std::vector<DocId> skip_doc_;            // doc id at each skip entry
-  std::uint32_t skip_interval_ = 1;        // spacing of skip entries
 };
 
 struct DaatStats {
-  std::uint64_t docs_scored = 0;     // documents containing all terms
-  std::uint64_t postings_touched = 0;
-  std::uint64_t skip_hops = 0;       // skip-table leaps taken
+  std::uint64_t docs_scored = 0;       // documents containing all terms
+  std::uint64_t postings_touched = 0;  // driver postings + advance calls
 };
 
 /// Conjunctive (AND) top-K: returns documents containing *every* query
@@ -162,8 +144,7 @@ class MaxScoreDaatProcessor {
   static constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
 
   const Posting& at(Cursor& c, std::uint32_t pos);
-  std::uint32_t advance(Cursor& c, std::uint32_t from, DocId target,
-                        std::uint64_t* skip_hops);
+  std::uint32_t advance(Cursor& c, std::uint32_t from, DocId target);
 
   std::size_t top_k_;
   // Scratch reused across queries.

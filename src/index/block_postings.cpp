@@ -248,22 +248,6 @@ std::uint32_t BlockPostingView::decode_block(std::uint32_t b,
   return count;
 }
 
-std::uint32_t BlockPostingView::find_block(std::uint32_t from,
-                                           DocId target) const {
-  // Common case first: the current block still covers the target.
-  if (from < num_blocks_ && metas_[from].last_doc >= target) return from;
-  std::uint32_t lo = from + 1, hi = num_blocks_;
-  while (lo < hi) {
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (metas_[mid].last_doc < target) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 // --- BlockPostingStore ---------------------------------------------------
 
 BlockPostingStore::BlockPostingStore(CodecKind kind) : kind_(kind) {

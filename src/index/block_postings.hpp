@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/index/codec.hpp"
+#include "src/index/gallop.hpp"
 #include "src/index/posting.hpp"
 
 namespace ssdse {
@@ -98,9 +99,14 @@ class BlockPostingView {
 
   /// Smallest block index >= `from` whose last doc id is >= `target`
   /// (i.e. the block that could contain `target`), or num_blocks() if
-  /// the list is exhausted. Pure metadata walk — nothing is decoded.
+  /// the list is exhausted. Gallops over the block metadata from `from`;
+  /// nothing is decoded.
   [[nodiscard]] std::uint32_t find_block(std::uint32_t from,
-                                         DocId target) const;
+                                         DocId target) const {
+    return static_cast<std::uint32_t>(
+        gallop(std::span(metas_, num_blocks_), from, target,
+               &PostingBlockMeta::last_doc));
+  }
 
  private:
   const std::uint8_t* bytes_ = nullptr;

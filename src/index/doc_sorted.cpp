@@ -1,56 +1,18 @@
 #include "src/index/doc_sorted.hpp"
 
-#include <algorithm>
-
 namespace ssdse {
-
-std::size_t DocSortedView::advance(std::size_t from, DocId target,
-                                   std::uint64_t* skips_used) const {
-  if (from >= size_) return size_;
-  if (postings_[from].doc >= target) return from;
-  // Skip phase: binary-search the skip table for the last entry whose
-  // doc id does not exceed the target, starting past `from`.
-  const SkipEntry* end = skips_ + num_skips_;
-  const SkipEntry* it = std::upper_bound(
-      skips_, end, target,
-      [](DocId t, const SkipEntry& e) { return t < e.doc; });
-  std::size_t pos = from;
-  if (it != skips_) {
-    const auto skip_slot = static_cast<std::size_t>(it - skips_) - 1;
-    const std::size_t skip_pos = skips_[skip_slot].pos;
-    if (skip_pos > pos) {
-      if (skips_used) {
-        // Hops = skip entries leapt over, derived from the stored
-        // interval (not from the table shape, which degenerates for
-        // single-entry tables).
-        const std::size_t from_slot = from / skip_interval_;
-        *skips_used += skip_slot > from_slot ? skip_slot - from_slot : 1;
-      }
-      pos = skip_pos;
-    }
-  }
-  // Scan phase.
-  while (pos < size_ && postings_[pos].doc < target) ++pos;
-  return pos;
-}
 
 void DocSortedStore::reserve(std::size_t num_terms,
                              std::size_t total_postings) {
   postings_.reserve(total_postings);
-  skips_.reserve(total_postings / kSkipInterval + num_terms);
   posting_off_.reserve(num_terms + 1);
-  skip_off_.reserve(num_terms + 1);
   idf_.reserve(num_terms);
 }
 
 void DocSortedStore::add_list(std::span<const Posting> doc_sorted,
                               double idf) {
   postings_.insert(postings_.end(), doc_sorted.begin(), doc_sorted.end());
-  for (std::uint32_t i = 0; i < doc_sorted.size(); i += kSkipInterval) {
-    skips_.push_back(SkipEntry{doc_sorted[i].doc, i});
-  }
   posting_off_.push_back(postings_.size());
-  skip_off_.push_back(skips_.size());
   idf_.push_back(idf);
 }
 

@@ -1,78 +1,56 @@
 // Precomputed doc-sorted index views (DESIGN.md §8).
 //
-// The DAAT engine needs doc-id-ordered postings with skip tables; the
-// seed rebuilt them per query (copy + sort of every touched list). This
-// store builds them ONCE at index-construction time into two immutable
-// index-wide arenas — one for postings, one for skip entries — so a
-// query borrows `DocSortedView`s (pointer + length slices, 40 bytes)
-// with zero allocation and zero sorting on the hot path. Cf. Pibiri &
-// Venturini: postings belong in contiguous, skip-augmented, build-once
-// form.
+// The DAAT engine needs doc-id-ordered postings; the seed rebuilt them
+// per query (copy + sort of every touched list). This store builds them
+// ONCE at index-construction time into one immutable index-wide arena,
+// so a query borrows `DocSortedView`s (a span plus the idf, 24 bytes)
+// with zero allocation and zero sorting on the hot path. Cursors move by
+// galloping from their position (src/index/gallop.hpp), so the arena
+// carries no skip table. Cf. Pibiri & Venturini: postings belong in
+// contiguous, build-once form.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "src/index/gallop.hpp"
 #include "src/index/posting.hpp"
 
 namespace ssdse {
 
-/// One skip-table entry: the doc id found at postings[pos].
-struct SkipEntry {
-  DocId doc{};
-  std::uint32_t pos = 0;
-};
-
-/// Borrowed, immutable doc-sorted slice of one term's postings plus its
-/// embedded skip table and the term's precomputed DAAT idf. Valid as
-/// long as the owning DocSortedStore lives.
+/// Borrowed, immutable doc-sorted slice of one term's postings plus the
+/// term's DAAT idf. Valid as long as the postings it borrows live (the
+/// owning DocSortedStore, or a processor's churn scratch).
 class DocSortedView {
  public:
   DocSortedView() = default;
-  DocSortedView(const Posting* postings, std::uint32_t size,
-                const SkipEntry* skips, std::uint32_t num_skips,
-                std::uint32_t skip_interval, double idf)
-      : postings_(postings),
-        skips_(skips),
-        size_(size),
-        num_skips_(num_skips),
-        skip_interval_(skip_interval),
-        idf_(idf) {}
+  DocSortedView(std::span<const Posting> postings, double idf)
+      : postings_(postings), idf_(idf) {}
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return postings_.size(); }
+  [[nodiscard]] bool empty() const { return postings_.empty(); }
   const Posting& operator[](std::size_t i) const { return postings_[i]; }
-  [[nodiscard]] std::span<const Posting> postings() const { return {postings_, size_}; }
-  [[nodiscard]] std::span<const SkipEntry> skips() const { return {skips_, num_skips_}; }
-  [[nodiscard]] std::uint32_t skip_interval() const { return skip_interval_; }
+  [[nodiscard]] std::span<const Posting> postings() const { return postings_; }
   /// Smoothed idf used by the DAAT scorer: log(1 + N / (df + 1)).
   [[nodiscard]] double idf() const { return idf_; }
 
   /// Smallest index i >= `from` with doc id >= `target`, or size() if
-  /// none. Skip table first, then a scan; `skips_used` accumulates the
-  /// number of skip entries leapt over (observability for the
-  /// skipped-read analysis, paper §III).
-  std::size_t advance(std::size_t from, DocId target,
-                      std::uint64_t* skips_used = nullptr) const;
+  /// none.
+  [[nodiscard]] std::size_t advance(std::size_t from, DocId target) const {
+    return gallop(postings_, from, target, &Posting::doc);
+  }
 
  private:
-  const Posting* postings_ = nullptr;
-  const SkipEntry* skips_ = nullptr;
-  std::uint32_t size_ = 0;
-  std::uint32_t num_skips_ = 0;
-  std::uint32_t skip_interval_ = 1;
+  std::span<const Posting> postings_;
   double idf_ = 0.0;
 };
 
-/// Build-once owner of every term's doc-sorted postings and skip table.
-/// All terms share two contiguous arenas; each term's slice is itself
-/// contiguous, so a view never touches more than its own cache lines.
+/// Build-once owner of every term's doc-sorted postings. All terms share
+/// one contiguous arena; each term's slice is itself contiguous, so a
+/// view never touches more than its own cache lines.
 class DocSortedStore {
  public:
-  /// Matches the seed DocSortedList skip spacing.
-  static constexpr std::uint32_t kSkipInterval = 64;
-
   void reserve(std::size_t num_terms, std::size_t total_postings);
 
   /// Append term `num_terms()`'s list. `doc_sorted` must be doc-id
@@ -81,13 +59,8 @@ class DocSortedStore {
 
   DocSortedView view(TermId t) const {
     const auto p0 = posting_off_[t];
-    const auto s0 = skip_off_[t];
-    return DocSortedView(
-        postings_.data() + p0,
-        static_cast<std::uint32_t>(posting_off_[t + 1] - p0),
-        skips_.data() + s0,
-        static_cast<std::uint32_t>(skip_off_[t + 1] - s0), kSkipInterval,
-        idf_[t]);
+    return DocSortedView({postings_.data() + p0, posting_off_[t + 1] - p0},
+                         idf_[t]);
   }
 
   [[nodiscard]] std::size_t num_terms() const { return idf_.size(); }
@@ -96,9 +69,7 @@ class DocSortedStore {
 
  private:
   std::vector<Posting> postings_;        // arena: all terms, doc-ascending
-  std::vector<SkipEntry> skips_;         // arena: all skip tables
   IdVector<TermId, std::uint64_t> posting_off_{0};  // per-term slice bounds
-  IdVector<TermId, std::uint64_t> skip_off_{0};
   IdVector<TermId, double> idf_;
 };
 

@@ -153,9 +153,9 @@ class MaterializedIndex final : public IndexView {
 
   /// Fold a merge into the materialized state: `replacements` holds the
   /// full new doc-sorted postings for every churned term (TermId
-  /// ascending); every other term keeps its postings. All arenas, skip
-  /// tables, frequency-sorted lists, metas (df, encoded bytes, idf) and
-  /// the layout are rebuilt so the result is bit-identical to an index
+  /// ascending); every other term keeps its postings. All arenas, block
+  /// metadata, frequency-sorted lists, metas (df, encoded bytes, idf)
+  /// and the layout are rebuilt so the result is bit-identical to an index
   /// constructed from the equivalent corpus with `new_num_docs` docs.
   /// Rebuilt terms restart PU tracking at the optimistic 1.0 default.
   void rebuild_lists(

@@ -5,18 +5,13 @@
 
 namespace ssdse {
 
-PostingList::PostingList(std::vector<Posting> postings,
-                         std::uint32_t skip_interval)
-    : postings_(std::move(postings)),
-      skip_interval_(skip_interval ? skip_interval : 1) {
+PostingList::PostingList(std::vector<Posting> postings)
+    : postings_(std::move(postings)) {
   std::sort(postings_.begin(), postings_.end(),
             [](const Posting& a, const Posting& b) {
               if (a.tf != b.tf) return a.tf > b.tf;
               return a.doc < b.doc;
             });
-  for (std::uint32_t i = 0; i < postings_.size(); i += skip_interval_) {
-    skips_.push_back(i);
-  }
 }
 
 std::span<const Posting> PostingList::prefix(double fraction) const {

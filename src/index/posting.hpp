@@ -1,4 +1,4 @@
-// Postings and frequency-sorted posting lists with skip pointers.
+// Postings and frequency-sorted posting lists.
 //
 // Following the filtered vector model the paper adopts from Saraiva et
 // al. (§VI): each list is sorted by descending term frequency, so query
@@ -30,9 +30,8 @@ class PostingList {
  public:
   PostingList() = default;
   /// Takes postings in any order; sorts by descending tf (ties by doc id
-  /// ascending) and builds the skip table.
-  explicit PostingList(std::vector<Posting> postings,
-                       std::uint32_t skip_interval = 128);
+  /// ascending).
+  explicit PostingList(std::vector<Posting> postings);
 
   [[nodiscard]] std::size_t size() const { return postings_.size(); }
   [[nodiscard]] bool empty() const { return postings_.empty(); }
@@ -44,19 +43,12 @@ class PostingList {
   /// a non-empty list and fraction > 0).
   std::span<const Posting> prefix(double fraction) const;
 
-  /// Skip table: indices into the list every `skip_interval` postings,
-  /// modelling Lucene's multi-level skip data (flattened to one level).
-  [[nodiscard]] std::span<const std::uint32_t> skips() const { return skips_; }
-  [[nodiscard]] std::uint32_t skip_interval() const { return skip_interval_; }
-
   /// First index whose tf < threshold (the early-termination frontier);
   /// postings_ is tf-descending so this is a binary search.
   std::size_t frontier(std::uint32_t tf_threshold) const;
 
  private:
   std::vector<Posting> postings_;
-  std::vector<std::uint32_t> skips_;
-  std::uint32_t skip_interval_ = 128;
 };
 
 }  // namespace ssdse

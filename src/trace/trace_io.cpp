@@ -22,7 +22,7 @@ void write_trace_csv(const std::string& path,
   if (!f) throw std::runtime_error("cannot open for write: " + path);
   std::fputs("timestamp_us,op,lba,sectors\n", f.get());
   for (const auto& r : trace) {
-    std::fprintf(f.get(), "%.3f,%s,%" PRIu64 ",%u\n", r.timestamp,
+    std::fprintf(f.get(), "%.3f,%s,%" PRIu64 ",%u\n", r.timestamp.value(),
                  to_string(r.op), r.lba, r.sectors);
   }
 }

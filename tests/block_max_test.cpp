@@ -103,11 +103,48 @@ TEST(BlockPostingStoreTest, StoredMaxBoundsEveryDecodedWeight) {
   EXPECT_GT(blocks_checked, 100u);  // the corpus must exercise many blocks
 }
 
-TEST(BlockPostingStoreTest, FindBlockIsTheSkipTable) {
+/// find_block's reference: a linear scan of the blocks' last doc ids.
+std::uint32_t scan_blocks(const BlockPostingView& v, std::uint32_t from,
+                          DocId target) {
+  while (from < v.num_blocks() && v.block(from).last_doc < target) ++from;
+  return from;
+}
+
+TEST(BlockPostingStoreTest, FindBlockMatchesLinearScan) {
+  // Synthetic lists of 2^k - 1, 2^k and 2^k + 1 blocks (short tail
+  // block) clamp the galloping stride at the list end. Every cursor,
+  // num_blocks() included, is probed with targets before, on and past
+  // each block's last doc id.
+  BlockPostingStore store;
+  std::vector<std::uint32_t> block_counts = {0, 1, 2, 3};
+  for (std::uint32_t k = 2; k <= 5; ++k) {
+    block_counts.insert(block_counts.end(),
+                        {(1u << k) - 1, 1u << k, (1u << k) + 1});
+  }
+  for (const std::uint32_t n : block_counts) {
+    std::vector<Posting> p(n == 0 ? 0 : n * kBlockPostings - 5);
+    for (std::uint32_t i = 0; i < p.size(); ++i) p[i] = {DocId{3 * i + 1}, 1};
+    store.add_list(p, 1.0);
+  }
+  for (TermId t{}; t < static_cast<TermId>(store.num_terms()); ++t) {
+    const BlockPostingView v = store.view(t);
+    for (std::uint32_t from = 0; from <= v.num_blocks(); ++from) {
+      for (std::uint32_t b = 0; b < v.num_blocks(); ++b) {
+        const std::uint32_t last = v.block(b).last_doc.raw();
+        for (const DocId target : {DocId{last - 1}, DocId{last},
+                                   DocId{last + 1}, DocId{0}}) {
+          ASSERT_EQ(v.find_block(from, target), scan_blocks(v, from, target))
+              << "blocks " << v.num_blocks() << " from " << from
+              << " target " << target.raw();
+        }
+      }
+    }
+  }
+
+  // The longest list of a real corpus, at random cursors and targets.
   Rng rng(pruning_corpus().seed);
   MaterializedCorpus corpus(pruning_corpus(), rng);
   MaterializedIndex index(corpus);
-  // Pick the longest list; probe find_block against a linear reference.
   TermId longest{};
   for (TermId t{}; t < TermId{index.vocab_size()}; ++t) {
     if (index.block_postings(t).size() >
@@ -122,10 +159,8 @@ TEST(BlockPostingStoreTest, FindBlockIsTheSkipTable) {
     const auto target =
         static_cast<DocId>(probe_rng.next_below(pruning_corpus().num_docs + 5));
     const std::uint32_t from =
-        static_cast<std::uint32_t>(probe_rng.next_below(v.num_blocks()));
-    std::uint32_t want = from;
-    while (want < v.num_blocks() && v.block(want).last_doc < target) ++want;
-    EXPECT_EQ(v.find_block(from, target), want)
+        static_cast<std::uint32_t>(probe_rng.next_below(v.num_blocks() + 1));
+    EXPECT_EQ(v.find_block(from, target), scan_blocks(v, from, target))
         << "target " << target.raw() << " from " << from;
   }
 }

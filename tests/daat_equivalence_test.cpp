@@ -31,7 +31,6 @@ void expect_identical(const ResultEntry& fast, const ResultEntry& ref,
   }
   EXPECT_EQ(fast_stats.docs_scored, ref_stats.docs_scored);
   EXPECT_EQ(fast_stats.postings_touched, ref_stats.postings_touched);
-  EXPECT_EQ(fast_stats.skip_hops, ref_stats.skip_hops);
 }
 
 void run_suite(const CorpusConfig& cfg, std::uint64_t query_seed,

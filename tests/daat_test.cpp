@@ -1,11 +1,14 @@
-// DAAT conjunctive processing tests: advance() semantics, skip usage,
-// and intersection correctness against a brute-force oracle.
+// DAAT conjunctive processing tests: the galloping next-doc search,
+// advance() semantics, and intersection correctness against a
+// brute-force oracle.
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include <gtest/gtest.h>
 
 #include "src/engine/daat.hpp"
+#include "src/index/gallop.hpp"
 #include "src/util/rng.hpp"
 
 namespace ssdse {
@@ -18,6 +21,73 @@ PostingList make_list(std::vector<DocId> docs, std::uint32_t tf = 5) {
   return PostingList(std::move(p));
 }
 
+/// Doc-ascending postings over `docs` (already ascending).
+std::vector<Posting> by_doc(const std::vector<DocId>& docs) {
+  std::vector<Posting> p;
+  p.reserve(docs.size());
+  for (DocId d : docs) p.push_back(Posting{d, 5});
+  return p;
+}
+
+std::size_t gallop_docs(const std::vector<Posting>& a, std::size_t from,
+                        DocId target) {
+  return gallop(std::span<const Posting>(a), from, target, &Posting::doc);
+}
+
+// --- gallop --------------------------------------------------------------
+
+TEST(GallopTest, MatchesLowerBoundFromTheCursor) {
+  // Sizes 2^k - 1, 2^k and 2^k + 1 make the doubling stride overshoot
+  // the array end by different amounts, so the last stride is clamped.
+  std::vector<std::size_t> sizes = {0, 1, 2, 3};
+  for (std::size_t k = 2; k <= 10; ++k) {
+    sizes.push_back((std::size_t{1} << k) - 1);
+    sizes.push_back(std::size_t{1} << k);
+    sizes.push_back((std::size_t{1} << k) + 1);
+  }
+  Rng rng(2024);
+  for (const std::size_t n : sizes) {
+    for (int rep = 0; rep < 10; ++rep) {
+      std::vector<Posting> a(n);
+      DocId d{};
+      for (Posting& p : a) {
+        d = d + static_cast<std::uint32_t>(1 + rng.next_below(4));
+        p.doc = d;
+      }
+      // Targets reach past the last element; cursors include size().
+      const std::uint64_t doc_range = d.raw() + 4;
+      for (int probe = 0; probe < 64; ++probe) {
+        const std::size_t from = rng.next_below(n + 1);
+        const auto target = static_cast<DocId>(rng.next_below(doc_range));
+        const auto want = static_cast<std::size_t>(
+            std::lower_bound(
+                a.begin() + static_cast<std::ptrdiff_t>(from), a.end(),
+                target,
+                [](const Posting& p, DocId t) { return p.doc < t; }) -
+            a.begin());
+        ASSERT_EQ(gallop_docs(a, from, target), want)
+            << "size " << n << " from " << from << " target "
+            << target.raw();
+      }
+    }
+  }
+}
+
+TEST(GallopTest, EdgeCases) {
+  EXPECT_EQ(gallop_docs({}, 0, DocId{5}), 0u);  // empty
+  const std::vector<Posting> one = by_doc({DocId{7}});
+  EXPECT_EQ(gallop_docs(one, 0, DocId{3}), 0u);  // already past target
+  EXPECT_EQ(gallop_docs(one, 0, DocId{7}), 0u);  // exact
+  EXPECT_EQ(gallop_docs(one, 0, DocId{8}), 1u);  // past the last element
+  EXPECT_EQ(gallop_docs(one, 1, DocId{0}), 1u);  // from == size
+  const std::vector<Posting> five =
+      by_doc({DocId{10}, DocId{20}, DocId{30}, DocId{40}, DocId{50}});
+  EXPECT_EQ(gallop_docs(five, 3, DocId{15}), 3u);  // never moves back
+  EXPECT_EQ(gallop_docs(five, 3, DocId{40}), 3u);  // cursor at target
+  EXPECT_EQ(gallop_docs(five, 0, DocId{50}), 4u);  // last element
+  EXPECT_EQ(gallop_docs(five, 1, DocId{51}), 5u);
+}
+
 // --- DocSortedList -----------------------------------------------------
 
 TEST(DocSortedListTest, SortsByDocId) {
@@ -27,8 +97,12 @@ TEST(DocSortedListTest, SortsByDocId) {
   EXPECT_EQ(list[3].doc, DocId{50});
 }
 
-TEST(DocSortedListTest, AdvanceFindsFirstAtLeastTarget) {
-  DocSortedList list(make_list({DocId{10}, DocId{20}, DocId{30}, DocId{40}, DocId{50}}));
+// --- DocSortedView -----------------------------------------------------
+
+TEST(DocSortedViewTest, AdvanceFindsFirstAtLeastTarget) {
+  const std::vector<Posting> p =
+      by_doc({DocId{10}, DocId{20}, DocId{30}, DocId{40}, DocId{50}});
+  const DocSortedView list(p, 1.0);
   EXPECT_EQ(list.advance(0, DocId{25}), 2u);   // -> doc 30
   EXPECT_EQ(list.advance(0, DocId{30}), 2u);   // exact
   EXPECT_EQ(list.advance(0, DocId{5}), 0u);    // already positioned
@@ -37,7 +111,7 @@ TEST(DocSortedListTest, AdvanceFindsFirstAtLeastTarget) {
   EXPECT_EQ(list.advance(5, DocId{10}), 5u);   // from end stays at end
 }
 
-TEST(DocSortedListTest, AdvanceNeverMovesBackwards) {
+TEST(DocSortedViewTest, AdvanceNeverMovesBackwards) {
   Rng rng(7);
   std::vector<DocId> docs;
   for (int i = 0; i < 5000; ++i) {
@@ -45,7 +119,8 @@ TEST(DocSortedListTest, AdvanceNeverMovesBackwards) {
   }
   std::sort(docs.begin(), docs.end());
   docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
-  DocSortedList list(make_list(docs));
+  const std::vector<Posting> p = by_doc(docs);
+  const DocSortedView list(p, 1.0);
   std::size_t pos = 0;
   for (int i = 0; i < 500; ++i) {
     const DocId target = static_cast<DocId>(rng.next_below(100'000));
@@ -60,17 +135,6 @@ TEST(DocSortedListTest, AdvanceNeverMovesBackwards) {
     if (target >= (pos < list.size() ? list[pos].doc : DocId{})) pos = next;
     if (pos >= list.size()) pos = 0;
   }
-}
-
-TEST(DocSortedListTest, LongJumpsUseSkips) {
-  std::vector<DocId> docs(10'000);
-  for (std::size_t i = 0; i < docs.size(); ++i) {
-    docs[i] = static_cast<DocId>(i * 3);
-  }
-  DocSortedList list(make_list(docs), /*skip_interval=*/64);
-  std::uint64_t hops = 0;
-  list.advance(0, DocId{29'000}, &hops);
-  EXPECT_GT(hops, 0u);
 }
 
 // --- DaatProcessor ------------------------------------------------------------
@@ -161,9 +225,9 @@ TEST_F(DaatTest, EmptyQueryAndMissingTerm) {
   EXPECT_TRUE(daat.intersect(index_, Query{QueryId{4}, {}}).docs.empty());
 }
 
-TEST_F(DaatTest, SkipHopsObservedOnSelectiveQueries) {
+TEST_F(DaatTest, SelectiveQueriesLeapTheDenseList) {
   // Intersecting a rare term with a dense one forces long advances in
-  // the dense list — the "skipped reads" of paper SSIII.
+  // the dense list.
   TermId rare = TermId{0}, dense = TermId{0};
   std::size_t min_df = ~0ull, max_df = 0;
   for (TermId t{}; t < TermId{index_.vocab_size()}; ++t) {

@@ -100,7 +100,7 @@ TEST(AnalyticScorerTest, SynthesizesDeterministicTopK) {
   ASSERT_EQ(a.result.docs.size(), kTopK);
   for (std::size_t i = 0; i < kTopK; ++i) {
     EXPECT_EQ(a.result.docs[i], b.result.docs[i]);
-    EXPECT_LT(a.result.docs[i].doc, DocId{cfg.num_docs});
+    EXPECT_LT(a.result.docs[i].doc, static_cast<DocId>(cfg.num_docs));
   }
 }
 

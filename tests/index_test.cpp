@@ -48,19 +48,6 @@ TEST(PostingListTest, FrontierBinarySearch) {
   EXPECT_EQ(list.frontier(0), 5u);
 }
 
-TEST(PostingListTest, SkipTableCoversList) {
-  std::vector<Posting> p;
-  for (DocId d{}; d < DocId{1000}; ++d) p.push_back({d, 1000 - d.raw()});
-  PostingList list(std::move(p), /*skip_interval=*/128);
-  const auto skips = list.skips();
-  ASSERT_FALSE(skips.empty());
-  EXPECT_EQ(skips[0], 0u);
-  EXPECT_EQ(skips.size(), (1000 + 127) / 128);
-  for (std::size_t i = 1; i < skips.size(); ++i) {
-    EXPECT_EQ(skips[i] - skips[i - 1], 128u);
-  }
-}
-
 TEST(PostingListTest, BytesUsesPostingSizeModel) {
   PostingList list({{DocId{0}, 1}, {DocId{1}, 1}});
   EXPECT_EQ(list.bytes(), 2 * kPostingBytes);
@@ -197,7 +184,7 @@ TEST(MaterializedTest, IndexConsistentWithCorpus) {
   // df(t) == number of docs containing t; verify on a sample.
   for (TermId t{}; t < TermId{20}; ++t) {
     std::uint64_t df = 0;
-    for (DocId d{}; d < DocId{corpus.num_docs()}; ++d) {
+    for (DocId d{}; d < static_cast<DocId>(corpus.num_docs()); ++d) {
       for (const auto& [term, tf] : corpus.doc(d)) df += term == t;
     }
     EXPECT_EQ(index.term_meta(t).df, df) << "term " << t.raw();

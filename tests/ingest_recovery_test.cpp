@@ -202,7 +202,7 @@ TEST(IngestRecoveryTest, CleanRestartReplaysChurn) {
   Rng corpus_rng(cc.seed);
   MaterializedCorpus corpus(cc, corpus_rng);
   std::vector<ingest::DocBag> mirror;
-  for (DocId d{}; d < DocId{corpus.num_docs()}; ++d) mirror.push_back(corpus.doc(d));
+  for (DocId d{}; d < static_cast<DocId>(corpus.num_docs()); ++d) mirror.push_back(corpus.doc(d));
 
   {
     MaterializedIndex index(corpus);
@@ -240,7 +240,7 @@ TEST(IngestRecoveryTest, CrashMidIngestRecoversToPrefix) {
   Rng corpus_rng(cc.seed);
   MaterializedCorpus corpus(cc, corpus_rng);
   std::vector<ingest::DocBag> mirror;
-  for (DocId d{}; d < DocId{corpus.num_docs()}; ++d) mirror.push_back(corpus.doc(d));
+  for (DocId d{}; d < static_cast<DocId>(corpus.num_docs()); ++d) mirror.push_back(corpus.doc(d));
 
   {
     MaterializedIndex index(corpus);
@@ -285,7 +285,7 @@ TEST(IngestRecoveryTest, CrashMidMergeSealRecoversPreMergeState) {
   Rng corpus_rng(cc.seed);
   MaterializedCorpus corpus(cc, corpus_rng);
   std::vector<ingest::DocBag> mirror;
-  for (DocId d{}; d < DocId{corpus.num_docs()}; ++d) mirror.push_back(corpus.doc(d));
+  for (DocId d{}; d < static_cast<DocId>(corpus.num_docs()); ++d) mirror.push_back(corpus.doc(d));
 
   {
     MaterializedIndex index(corpus);
@@ -333,7 +333,7 @@ TEST(IngestRecoveryTest, CommittedSealReplaysMergeDeterministically) {
   Rng corpus_rng(cc.seed);
   MaterializedCorpus corpus(cc, corpus_rng);
   std::vector<ingest::DocBag> mirror;
-  for (DocId d{}; d < DocId{corpus.num_docs()}; ++d) mirror.push_back(corpus.doc(d));
+  for (DocId d{}; d < static_cast<DocId>(corpus.num_docs()); ++d) mirror.push_back(corpus.doc(d));
 
   {
     MaterializedIndex index(corpus);

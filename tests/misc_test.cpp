@@ -115,12 +115,6 @@ TEST(BitmapEdgeTest, ExactWordBoundary) {
 
 // --- PostingList corner ---------------------------------------------------------
 
-TEST(PostingEdgeTest, ZeroSkipIntervalClamped) {
-  PostingList list({{DocId{1}, 5}, {DocId{2}, 3}}, /*skip_interval=*/0);
-  EXPECT_EQ(list.skip_interval(), 1u);
-  EXPECT_EQ(list.skips().size(), 2u);
-}
-
 TEST(PostingEdgeTest, SingleElementPrefix) {
   PostingList list({{DocId{9}, 2}});
   EXPECT_EQ(list.prefix(0.0001).size(), 1u);  // ceil: never zero if >0

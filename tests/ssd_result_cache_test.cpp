@@ -128,6 +128,30 @@ TEST_F(SsdResultCacheTest, RewriteInvalidatesOldSlot) {
   EXPECT_EQ(cache_.entry_count(), 6u);  // 5 from first RB + 1 rewritten
 }
 
+TEST_F(SsdResultCacheTest, OverwritingAnInvalidatedSlotKeepsTheNewerCopy) {
+  // RB A holds query 0; invalidate it, then rewrite it into RB B.
+  auto a = group(QueryId{0}, 6);
+  (void)cache_.insert_rb(a);
+  ASSERT_TRUE(cache_.invalidate(QueryId{0}));
+  auto b = group(QueryId{0}, 1);
+  (void)cache_.insert_rb(b);
+  // Fill the 8-RB file, then write one more RB. A sits at the LRU end
+  // with the window's largest IREN (its invalid slot), so it is the
+  // victim.
+  for (QueryId base{100}; base < QueryId{136}; base = base + 6) {
+    auto g = group(base, 6);
+    (void)cache_.insert_rb(g);
+  }
+  auto extra = group(QueryId{500}, 6);
+  (void)cache_.insert_rb(extra);
+  std::uint64_t freq = 0;
+  Micros t = micros(0);
+  EXPECT_EQ(cache_.lookup(QueryId{1}, freq, t), nullptr);  // A is gone
+  const ResultEntry* e = cache_.lookup(QueryId{0}, freq, t);
+  ASSERT_NE(e, nullptr);  // B's copy outlives A's overwrite
+  EXPECT_EQ(e->query, QueryId{0});
+}
+
 TEST_F(SsdResultCacheTest, PartialGroupsSupported) {
   auto g = group(QueryId{0}, 3);
   (void)cache_.insert_rb(g);
