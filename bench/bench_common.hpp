@@ -1,19 +1,23 @@
 // Shared helpers for the reproduction benches: the standard experiment
-// header (Tables II/III), common configurations, the DAAT workload, and
-// small timing and formatting utilities.
+// header (Tables II/III), common configurations, the DAAT workload,
+// small timing and formatting utilities, and the one writer of gated
+// bench artifacts.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/engine/daat.hpp"
 #include "src/hybrid/run_report.hpp"
 #include "src/hybrid/search_system.hpp"
+#include "src/telemetry/json_writer.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/table.hpp"
 #include "src/workload/query_log.hpp"
@@ -133,6 +137,51 @@ inline void maybe_write_report(const SearchSystem& sys,
       std::fprintf(stderr, "cannot write telemetry report %s\n", path);
     }
   }
+}
+
+/// One named verdict of a gated bench.
+using Gate = std::pair<const char*, bool>;
+
+/// Finish a gated bench: write its artifact
+///   {"bench", "schema_version": 2, <body>, "gates": {name: bool}, "pass"}
+/// to $SSDSE_BENCH_OUT (default BENCH_<bench>.json). `write_body` adds
+/// the evidence each gate was decided on; `pass` is every gate passing.
+/// scripts/check_bench_json.py checks the envelope and re-derives each
+/// gate from that evidence. Returns the process exit code: 0 when every
+/// gate passes and the artifact was written, else 1.
+template <class WriteBody>
+int finish_bench(const std::string& bench, std::initializer_list<Gate> gates,
+                 WriteBody&& write_body) {
+  telemetry::JsonWriter w;
+  w.begin_object();
+  w.key("bench");
+  w.value(bench);
+  w.key("schema_version");
+  w.value(std::uint64_t{2});
+  write_body(w);
+  bool pass = true;
+  w.key("gates");
+  w.begin_object();
+  for (const auto& [name, ok] : gates) {
+    w.key(name);
+    w.value(ok);
+    if (!ok) std::fprintf(stderr, "%s: gate %s FAILED\n", bench.c_str(), name);
+    pass = pass && ok;
+  }
+  w.end_object();
+  w.key("pass");
+  w.value(pass);
+  w.end_object();
+
+  const char* env = std::getenv("SSDSE_BENCH_OUT");
+  const std::string path = env ? env : "BENCH_" + bench + ".json";
+  if (!write_json_file(path, w.str())) {
+    std::fprintf(stderr, "%s: cannot write %s\n", bench.c_str(),
+                 path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return pass ? 0 : 1;
 }
 
 }  // namespace ssdse::bench

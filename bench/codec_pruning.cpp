@@ -1,15 +1,16 @@
 // Gate bench: compressed posting blocks + block-max pruning
-// (DESIGN.md §13), emitted as BENCH_PR7.json and validated by
+// (DESIGN.md §13), emitted as BENCH_codec_pruning.json and validated by
 // scripts/check_bench_json.py; runs in tier-1 as codec_pruning_smoke.
 //
-// Two gated sections plus observability producers:
-//  * compression — encoded vs raw posting bytes on the perf_driver daat
-//    corpus; the block-packed ratio must be >= 2.5x;
-//  * pruning     — the block-max MaxScoreDaatProcessor must return
-//    top-K bit-identical to the exhaustive DaatProcessor on every query
-//    and leave at least 10 % of the postings unevaluated. Both counts
-//    are deterministic; both processors' q/s are reported, not gated,
-//    because wall time on a shared machine is not;
+// Three gates plus observability producers:
+//  * packed_ratio — encoded vs raw posting bytes on the perf_driver
+//    daat corpus; the block-packed ratio must be >= 2.5x;
+//  * results_identical, pruned_fraction — the block-max
+//    MaxScoreDaatProcessor must return top-K bit-identical to the
+//    exhaustive DaatProcessor on every query and leave at least 10 % of
+//    the postings unevaluated. Both counts are deterministic; both
+//    processors' q/s are reported, not gated, because wall time on a
+//    shared machine is not;
 //  * a daat_skip trace span + daat.pruning.* registry counters give the
 //    pruning observability surfaces a live producer.
 //
@@ -31,6 +32,7 @@ namespace {
 /// Share of the driver postings the bound checks must leave
 /// unevaluated (0.15 on this workload at 500 to 20k queries).
 constexpr double kMinPrunedFraction = 0.10;
+constexpr double kMinPackedRatio = 2.5;
 
 struct CompressionResult {
   Bytes raw_bytes = 0;
@@ -39,7 +41,6 @@ struct CompressionResult {
   double packed_ratio = 0;
   double svb_ratio = 0;
   std::uint64_t blocks = 0;
-  bool pass = false;
 };
 
 CompressionResult run_compression(const MaterializedIndex& index) {
@@ -60,7 +61,6 @@ CompressionResult run_compression(const MaterializedIndex& index) {
                    static_cast<double>(c.packed_bytes);
   c.svb_ratio =
       static_cast<double>(c.raw_bytes) / static_cast<double>(c.svb_bytes);
-  c.pass = c.packed_ratio >= 2.5;
   return c;
 }
 
@@ -73,7 +73,6 @@ struct PruningResult {
   bool results_identical = false;
   PruningStats stats;
   double postings_pruned_fraction = 0;
-  bool pass = false;
 };
 
 PruningResult run_pruning(const DaatWorkload& w,
@@ -132,49 +131,7 @@ PruningResult run_pruning(const DaatWorkload& w,
                        static_cast<double>(p.stats.postings_pruned);
   p.postings_pruned_fraction =
       denom > 0 ? static_cast<double>(p.stats.postings_pruned) / denom : 0;
-  p.pass = p.results_identical &&
-           p.postings_pruned_fraction >= kMinPrunedFraction;
   return p;
-}
-
-void write_json(const char* path, const CompressionResult& c,
-                const PruningResult& p) {
-  FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "codec_pruning: cannot write %s\n", path);
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"codec_pruning\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(
-      f,
-      "  \"compression\": {\"raw_bytes\": %llu, \"packed_bytes\": %llu, "
-      "\"svb_bytes\": %llu, \"packed_ratio\": %.3f, \"svb_ratio\": %.3f, "
-      "\"blocks\": %llu, \"pass\": %s},\n",
-      static_cast<unsigned long long>(c.raw_bytes),
-      static_cast<unsigned long long>(c.packed_bytes),
-      static_cast<unsigned long long>(c.svb_bytes), c.packed_ratio,
-      c.svb_ratio, static_cast<unsigned long long>(c.blocks),
-      c.pass ? "true" : "false");
-  std::fprintf(
-      f,
-      "  \"pruning\": {\"queries\": %llu, \"oracle_qps\": %.1f, "
-      "\"oracle_wall_ms\": %.3f, \"pruned_qps\": %.1f, "
-      "\"pruned_wall_ms\": %.3f, \"results_identical\": %s, "
-      "\"blocks_decoded\": %llu, \"blocks_skipped\": %llu, "
-      "\"prune_jumps\": %llu, \"postings_pruned\": %llu, "
-      "\"postings_pruned_fraction\": %.4f, \"pass\": %s},\n",
-      static_cast<unsigned long long>(p.queries), p.oracle_qps,
-      p.oracle_wall_ms, p.pruned_qps, p.pruned_wall_ms,
-      p.results_identical ? "true" : "false",
-      static_cast<unsigned long long>(p.stats.blocks_decoded),
-      static_cast<unsigned long long>(p.stats.blocks_skipped),
-      static_cast<unsigned long long>(p.stats.prune_jumps),
-      static_cast<unsigned long long>(p.stats.postings_pruned),
-      p.postings_pruned_fraction, p.pass ? "true" : "false");
-  std::fprintf(f, "  \"pass\": %s\n}\n",
-               c.pass && p.pass ? "true" : "false");
-  std::fclose(f);
 }
 
 }  // namespace
@@ -182,23 +139,20 @@ void write_json(const char* path, const CompressionResult& c,
 int main() {
   print_environment("Gate — compressed posting blocks + block-max pruning");
   const auto queries = env_count("SSDSE_DAAT_QUERIES", 20'000);
-  const char* out = std::getenv("SSDSE_BENCH_OUT");
-  if (!out) out = "BENCH_PR7.json";
 
-  DaatWorkload w(queries);
-  const CompressionResult c = run_compression(*w.index);
+  DaatWorkload workload(queries);
+  const CompressionResult c = run_compression(*workload.index);
   std::printf(
       "  compression: raw %.1f MiB -> packed %.1f MiB (%.2fx), "
-      "svb %.1f MiB (%.2fx) %s\n",
+      "svb %.1f MiB (%.2fx), gate >= %.1fx\n",
       static_cast<double>(c.raw_bytes) / MiB,
       static_cast<double>(c.packed_bytes) / MiB, c.packed_ratio,
-      static_cast<double>(c.svb_bytes) / MiB, c.svb_ratio,
-      c.pass ? "[pass]" : "[FAIL: ratio < 2.5]");
+      static_cast<double>(c.svb_bytes) / MiB, c.svb_ratio, kMinPackedRatio);
 
   // The pruning counters publish through the registry under the same
   // naming conventions the lint enforces.
   telemetry::QueryTracer tracer;
-  const PruningResult p = run_pruning(w, tracer);
+  const PruningResult p = run_pruning(workload, tracer);
   telemetry::MetricsRegistry registry;
   registry.counter("daat.pruning.blocks_decoded", &p.stats.blocks_decoded);
   registry.counter("daat.pruning.blocks_skipped", &p.stats.blocks_skipped);
@@ -221,12 +175,49 @@ int main() {
       tracer.stage_stats(telemetry::TraceStage::kDaatSkip).sum(),
       registry.size());
 
-  write_json(out, c, p);
-  std::printf("wrote %s\n", out);
-
-  if (!(c.pass && p.pass)) {
-    std::fprintf(stderr, "codec_pruning: gate FAILED\n");
-    return 1;
-  }
-  return 0;
+  return finish_bench(
+      "codec_pruning",
+      {{"packed_ratio", c.packed_ratio >= kMinPackedRatio},
+       {"results_identical", p.results_identical},
+       {"pruned_fraction", p.postings_pruned_fraction >= kMinPrunedFraction}},
+      [&](telemetry::JsonWriter& w) {
+        w.key("compression");
+        w.begin_object();
+        w.key("raw_bytes");
+        w.value(c.raw_bytes);
+        w.key("packed_bytes");
+        w.value(c.packed_bytes);
+        w.key("svb_bytes");
+        w.value(c.svb_bytes);
+        w.key("packed_ratio");
+        w.value(c.packed_ratio);
+        w.key("svb_ratio");
+        w.value(c.svb_ratio);
+        w.key("blocks");
+        w.value(c.blocks);
+        w.end_object();
+        w.key("pruning");
+        w.begin_object();
+        w.key("queries");
+        w.value(p.queries);
+        w.key("oracle_qps");
+        w.value(p.oracle_qps);
+        w.key("oracle_wall_ms");
+        w.value(p.oracle_wall_ms);
+        w.key("pruned_qps");
+        w.value(p.pruned_qps);
+        w.key("pruned_wall_ms");
+        w.value(p.pruned_wall_ms);
+        w.key("blocks_decoded");
+        w.value(p.stats.blocks_decoded);
+        w.key("blocks_skipped");
+        w.value(p.stats.blocks_skipped);
+        w.key("prune_jumps");
+        w.value(p.stats.prune_jumps);
+        w.key("postings_pruned");
+        w.value(p.stats.postings_pruned);
+        w.key("postings_pruned_fraction");
+        w.value(p.postings_pruned_fraction);
+        w.end_object();
+      });
 }

@@ -11,10 +11,12 @@
 //     cache instead of paying doomed flash reads), probes the cache
 //     after a cooldown, and re-closes when probes succeed.
 //
-// Emits machine-readable JSON (SSDSE_BENCH_OUT, default
-// BENCH_FAULTS.json) consumed by scripts/check_bench_json.py in CI, and
-// a telemetry run report for the last faulty cell when
-// SSDSE_TELEMETRY_OUT is set (exercises the report's "faults" section).
+// Gates: fingerprints_identical, breaker_recovers, and the cluster
+// cell's cluster_books_balance and cluster_full_coverage. Emits the
+// bench artifact (SSDSE_BENCH_OUT, default BENCH_ext_faults.json)
+// validated by scripts/check_bench_json.py, and a telemetry run report
+// for the last faulty cell when SSDSE_TELEMETRY_OUT is set (exercises
+// the report's "faults" section).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -163,70 +165,6 @@ ClusterCellResult run_cluster_cell(std::uint64_t queries) {
   return r;
 }
 
-void write_json(const char* path, const std::vector<CellResult>& cells,
-                std::uint64_t queries, bool fingerprint_match,
-                const CellResult& severe, const ClusterCellResult& cluster) {
-  FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "ext_faults: cannot write %s\n", path);
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"ext_faults\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"queries\": %llu,\n",
-               static_cast<unsigned long long>(queries));
-  std::fprintf(f, "  \"cells\": [\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& r = cells[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"fingerprint\": %llu, "
-        "\"mean_response_ms\": %.3f, \"ssd_read_errors\": %llu, "
-        "\"hdd_read_errors\": %llu, \"read_retries\": %llu, "
-        "\"grown_bad_blocks\": %llu, \"breaker\": {\"trips\": %llu, "
-        "\"closes\": %llu, \"reopens\": %llu, \"bypassed_ops\": %llu, "
-        "\"final_state\": \"%s\"}}%s\n",
-        r.cell->name, static_cast<unsigned long long>(r.fingerprint),
-        r.mean_response / kMillisecond,
-        static_cast<unsigned long long>(r.ssd_read_errors),
-        static_cast<unsigned long long>(r.hdd_read_errors),
-        static_cast<unsigned long long>(r.read_retries),
-        static_cast<unsigned long long>(r.grown_bad_blocks),
-        static_cast<unsigned long long>(r.breaker_trips),
-        static_cast<unsigned long long>(r.breaker_closes),
-        static_cast<unsigned long long>(r.breaker_reopens),
-        static_cast<unsigned long long>(r.breaker_bypassed),
-        r.breaker_state.c_str(), i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"fingerprint_match\": %s,\n",
-               fingerprint_match ? "true" : "false");
-  std::fprintf(
-      f,
-      "  \"breaker_demo\": {\"trips\": %llu, \"closes\": %llu, "
-      "\"recovered\": %s},\n",
-      static_cast<unsigned long long>(severe.breaker_trips),
-      static_cast<unsigned long long>(severe.breaker_closes),
-      severe.breaker_trips > 0 && severe.breaker_closes > 0 ? "true"
-                                                            : "false");
-  std::fprintf(
-      f,
-      "  \"cluster\": {\"queries\": %llu, \"broker_observed_faults\": %llu, "
-      "\"shard_side_faults\": %llu, \"faulty_shard_errors\": %llu, "
-      "\"clean_shard_errors\": %llu, \"shards_dropped\": %llu, "
-      "\"coverage_mean\": %.6f, \"books_balance\": %s, "
-      "\"full_coverage\": %s}\n}\n",
-      static_cast<unsigned long long>(cluster.queries),
-      static_cast<unsigned long long>(cluster.broker_observed_faults),
-      static_cast<unsigned long long>(cluster.shard_side_faults),
-      static_cast<unsigned long long>(cluster.faulty_shard_errors),
-      static_cast<unsigned long long>(cluster.clean_shard_errors),
-      static_cast<unsigned long long>(cluster.shards_dropped),
-      cluster.coverage_mean, cluster.books_balance ? "true" : "false",
-      cluster.full_coverage ? "true" : "false");
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main() {
@@ -295,7 +233,6 @@ int main() {
       static_cast<unsigned long long>(cluster.shards_dropped),
       cluster.full_coverage ? "graceful degradation held"
                             : "COVERAGE LOST");
-  const bool cluster_ok = cluster.books_balance && cluster.full_coverage;
 
   std::printf(
       "\nresult integrity: every cell's fingerprint %s the fault-free\n"
@@ -308,10 +245,65 @@ int main() {
       static_cast<unsigned long long>(severe.breaker_reopens),
       breaker_ok ? "tripped and recovered" : "DID NOT trip and recover");
 
-  const char* out = std::getenv("SSDSE_BENCH_OUT");
-  if (!out) out = "BENCH_FAULTS.json";
-  write_json(out, results, queries, match, severe, cluster);
-  std::printf("wrote %s\n", out);
-
-  return match && breaker_ok && cluster_ok ? 0 : 1;
+  return finish_bench(
+      "ext_faults",
+      {{"fingerprints_identical", match},
+       {"breaker_recovers", breaker_ok},
+       {"cluster_books_balance", cluster.books_balance},
+       {"cluster_full_coverage", cluster.full_coverage}},
+      [&](telemetry::JsonWriter& w) {
+        w.key("queries");
+        w.value(queries);
+        w.key("cells");
+        w.begin_array();
+        for (const CellResult& r : results) {
+          w.begin_object();
+          w.key("name");
+          w.value(r.cell->name);
+          w.key("fingerprint");
+          w.value(r.fingerprint);
+          w.key("mean_response_ms");
+          w.value(r.mean_response / kMillisecond);
+          w.key("ssd_read_errors");
+          w.value(r.ssd_read_errors);
+          w.key("hdd_read_errors");
+          w.value(r.hdd_read_errors);
+          w.key("read_retries");
+          w.value(r.read_retries);
+          w.key("grown_bad_blocks");
+          w.value(r.grown_bad_blocks);
+          w.key("breaker");
+          w.begin_object();
+          w.key("trips");
+          w.value(r.breaker_trips);
+          w.key("closes");
+          w.value(r.breaker_closes);
+          w.key("reopens");
+          w.value(r.breaker_reopens);
+          w.key("bypassed_ops");
+          w.value(r.breaker_bypassed);
+          w.key("state");
+          w.value(r.breaker_state);
+          w.end_object();
+          w.end_object();
+        }
+        w.end_array();
+        w.key("cluster");
+        w.begin_object();
+        w.key("queries");
+        w.value(cluster.queries);
+        w.key("broker_observed_faults");
+        w.value(cluster.broker_observed_faults);
+        w.key("shard_side_faults");
+        w.value(cluster.shard_side_faults);
+        w.key("faulty_shard_errors");
+        w.value(cluster.faulty_shard_errors);
+        w.key("clean_shard_errors");
+        w.value(cluster.clean_shard_errors);
+        w.key("shards_dropped");
+        w.value(cluster.shards_dropped);
+        w.key("coverage_mean");
+        w.value(cluster.coverage_mean);
+        w.end_object();
+      });
 }

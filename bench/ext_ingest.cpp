@@ -17,14 +17,15 @@
 // oracle system over the rebuilt document set, both mid-segment and
 // after a forced merge. Gate 2: results bit-identical at both points
 // (cache coherence + overlay scoring are exact, not approximate).
-// Gate 3 (PR 7): block-max DAAT over the same churned index — where
-// ingests and deletes have invalidated the stored per-block maxima —
-// must stay bit-identical to the exhaustive processor, mid-segment and
+// Gate 3: block-max DAAT over the same churned index — where ingests
+// and deletes have invalidated the stored per-block maxima — must stay
+// bit-identical to the exhaustive processor, mid-segment and
 // post-merge (dirty terms bypass stale block-max; DESIGN.md §13).
 //
-// SSDSE_QUERIES scales the run; SSDSE_BENCH_OUT emits the JSON
-// artifact (validated by scripts/check_bench_json.py); the heavy cell
-// writes a telemetry run report when SSDSE_TELEMETRY_OUT is set.
+// SSDSE_QUERIES scales the run; the bench artifact goes to
+// SSDSE_BENCH_OUT (default BENCH_ext_ingest.json, validated by
+// scripts/check_bench_json.py); the heavy cell writes a telemetry run
+// report when SSDSE_TELEMETRY_OUT is set.
 #include <bit>
 #include <cstring>
 #include <memory>
@@ -258,64 +259,6 @@ bool pruned_probe(const ChurnedState& churned, std::uint64_t probes,
   return true;
 }
 
-void write_json(const char* path, std::uint64_t queries,
-                const std::vector<CellResult>& cells,
-                bool idle_matches_disabled, std::uint64_t oracle_probes,
-                bool oracle_pre_merge, bool oracle_post_merge,
-                bool pruned_pre_merge, bool pruned_post_merge) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"ext_ingest\",\n  \"schema_version\": 1,\n"
-               "  \"queries\": %llu,\n  \"cells\": [\n",
-               static_cast<unsigned long long>(queries));
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"fingerprint\": %llu, "
-        "\"mean_response_ms\": %.4f, \"hit_ratio\": %.6f, "
-        "\"result_probes\": %llu,\n"
-        "     \"stale\": {\"result_invalidations\": %llu, "
-        "\"list_invalidations\": %llu, \"ssd_result_misses\": %llu, "
-        "\"ssd_list_misses\": %llu, \"ssd_list_marks\": %llu},\n"
-        "     \"ingest\": {\"docs\": %llu, \"deletes\": %llu, "
-        "\"merges\": %llu, \"merged_postings\": %llu, "
-        "\"segment_postings\": %llu, \"deleted_docs\": %llu}}%s\n",
-        c.name.c_str(), static_cast<unsigned long long>(c.fingerprint),
-        c.mean_response_ms, c.hit_ratio,
-        static_cast<unsigned long long>(c.result_probes),
-        static_cast<unsigned long long>(c.stale_result_invalidations),
-        static_cast<unsigned long long>(c.stale_list_invalidations),
-        static_cast<unsigned long long>(c.stale_ssd_result_misses),
-        static_cast<unsigned long long>(c.stale_ssd_list_misses),
-        static_cast<unsigned long long>(c.stale_marks),
-        static_cast<unsigned long long>(c.docs),
-        static_cast<unsigned long long>(c.deletes),
-        static_cast<unsigned long long>(c.merges),
-        static_cast<unsigned long long>(c.merged_postings),
-        static_cast<unsigned long long>(c.segment_postings),
-        static_cast<unsigned long long>(c.deleted_docs),
-        i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"idle_matches_disabled\": %s,\n"
-               "  \"oracle\": {\"probes\": %llu, \"pre_merge_match\": %s, "
-               "\"post_merge_match\": %s, \"pruned_pre_merge_match\": %s, "
-               "\"pruned_post_merge_match\": %s}\n}\n",
-               idle_matches_disabled ? "true" : "false",
-               static_cast<unsigned long long>(oracle_probes),
-               oracle_pre_merge ? "true" : "false",
-               oracle_post_merge ? "true" : "false",
-               pruned_pre_merge ? "true" : "false",
-               pruned_post_merge ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-}
-
 }  // namespace
 
 int main() {
@@ -376,11 +319,62 @@ int main() {
       pruned_pre_ok ? "exact" : "DIVERGED",
       pruned_post_ok ? "exact" : "DIVERGED");
 
-  if (const char* out = std::getenv("SSDSE_BENCH_OUT")) {
-    write_json(out, queries, cells, idle_ok, probes, pre_ok, post_ok,
-               pruned_pre_ok, pruned_post_ok);
-  }
-  return idle_ok && pre_ok && post_ok && pruned_pre_ok && pruned_post_ok
-             ? 0
-             : 1;
+  return finish_bench(
+      "ext_ingest",
+      {{"idle_matches_disabled", idle_ok},
+       {"oracle_pre_merge", pre_ok},
+       {"oracle_post_merge", post_ok},
+       {"pruned_pre_merge", pruned_pre_ok},
+       {"pruned_post_merge", pruned_post_ok}},
+      [&](telemetry::JsonWriter& w) {
+        w.key("queries");
+        w.value(queries);
+        w.key("oracle_probes");
+        w.value(probes);
+        w.key("cells");
+        w.begin_array();
+        for (const CellResult& c : cells) {
+          w.begin_object();
+          w.key("name");
+          w.value(c.name);
+          w.key("fingerprint");
+          w.value(c.fingerprint);
+          w.key("mean_response_ms");
+          w.value(c.mean_response_ms);
+          w.key("hit_ratio");
+          w.value(c.hit_ratio);
+          w.key("result_probes");
+          w.value(c.result_probes);
+          w.key("stale");
+          w.begin_object();
+          w.key("result_invalidations");
+          w.value(c.stale_result_invalidations);
+          w.key("list_invalidations");
+          w.value(c.stale_list_invalidations);
+          w.key("ssd_result_misses");
+          w.value(c.stale_ssd_result_misses);
+          w.key("ssd_list_misses");
+          w.value(c.stale_ssd_list_misses);
+          w.key("ssd_list_marks");
+          w.value(c.stale_marks);
+          w.end_object();
+          w.key("ingest");
+          w.begin_object();
+          w.key("docs");
+          w.value(c.docs);
+          w.key("deletes");
+          w.value(c.deletes);
+          w.key("merges");
+          w.value(c.merges);
+          w.key("merged_postings");
+          w.value(c.merged_postings);
+          w.key("segment_postings");
+          w.value(c.segment_postings);
+          w.key("deleted_docs");
+          w.value(c.deleted_docs);
+          w.end_object();
+          w.end_object();
+        }
+        w.end_array();
+      });
 }

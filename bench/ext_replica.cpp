@@ -6,7 +6,7 @@
 //  (a) *Hedging cuts the tail.* With a latency-spiking primary and a
 //      clean sibling, enabling hedged requests lowers the broker's
 //      closed-loop p99 versus the identical no-hedge fleet.
-//  (b) *Retries restore coverage.* Where the PR 4 shard-deadline path
+//  (b) *Retries restore coverage.* Where the shard-deadline path
 //      drops slow shards (coverage < 1), a retry budget converts every
 //      drop back into a full answer (coverage == 1.0) — the retried
 //      attempt replays against the now-warm result cache well inside
@@ -20,10 +20,11 @@
 // must reproduce the windowed-series fingerprint and every policy
 // counter bit for bit.
 //
-// Emits machine-readable JSON (SSDSE_BENCH_OUT, default
-// BENCH_PR9.json) validated by scripts/check_bench_json.py, and the
-// faulty R=2 1x cell's run report with the "replication" section when
-// SSDSE_TELEMETRY_OUT is set.
+// Gates: hedge_cuts_p99, retries_restore_coverage, failover_keeps_slo,
+// conservation and determinism. Emits the bench artifact
+// (SSDSE_BENCH_OUT, default BENCH_ext_replica.json) validated by
+// scripts/check_bench_json.py, and the faulty R=2 1x cell's run report
+// with the "replication" section when SSDSE_TELEMETRY_OUT is set.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -32,7 +33,6 @@
 
 #include "bench/bench_common.hpp"
 #include "src/hybrid/traffic.hpp"
-#include "src/telemetry/json_writer.hpp"
 
 using namespace ssdse;
 using namespace ssdse::bench;
@@ -261,6 +261,7 @@ struct FailoverGate {
   std::string failover_state = "breach";
   std::uint64_t failover_breaches = 0;
   std::uint64_t failovers = 0;
+  std::uint64_t routing_changes = 0;
   bool pass = false;
 };
 
@@ -310,7 +311,9 @@ FailoverGate run_failover_gate(const Calibration& cal,
   const TrafficResult failover = slo_run(cluster, cal, offered);
   g.failover_state = telemetry::to_string(failover.slo.front().state);
   g.failover_breaches = failover.slo.front().breach_windows;
-  g.failovers = cluster.replication_snapshot().failovers;
+  const ReplicationSnapshot snap = cluster.replication_snapshot();
+  g.failovers = snap.failovers;
+  g.routing_changes = snap.routing_changes;
 
   g.pass = g.primary_only_breaches > 0 && g.failover_breaches == 0 &&
            failover.slo.front().state != telemetry::SloState::kBreach &&
@@ -366,6 +369,7 @@ int main() {
       repeat.snap.retries == first.snap.retries &&
       repeat.snap.hedges == first.snap.hedges &&
       repeat.snap.failovers == first.snap.failovers &&
+      repeat.snap.routing_changes == first.snap.routing_changes &&
       repeat.snap.dispatches == first.snap.dispatches;
 
   Table t({"cell", "served", "shed", "p99 (ms)", "coverage", "retries",
@@ -392,7 +396,7 @@ int main() {
               static_cast<unsigned long long>(hedge.hedge_wins),
               hedge.pass ? "ok" : "FAIL");
 
-  std::printf("gate (b): retry budget vs the PR 4 deadline drop path...\n");
+  std::printf("gate (b): retry budget vs the deadline drop path...\n");
   const RetryGate retry = run_retry_gate(cal, gate_queries);
   std::printf("  coverage %.4f -> %.4f (%llu retries, deadline %.2f ms) %s\n",
               retry.coverage_no_retry, retry.coverage_retry,
@@ -403,18 +407,17 @@ int main() {
   const FailoverGate failover = run_failover_gate(cal, offered, spike);
   std::printf(
       "  primary-only %s (%llu breach windows), failover %s "
-      "(%llu failovers) %s\n",
+      "(%llu failovers, %llu routing changes) %s\n",
       failover.primary_only_state.c_str(),
       static_cast<unsigned long long>(failover.primary_only_breaches),
       failover.failover_state.c_str(),
       static_cast<unsigned long long>(failover.failovers),
+      static_cast<unsigned long long>(failover.routing_changes),
       failover.pass ? "ok" : "FAIL");
 
   bool conservation = true;
   for (const CellOutcome& c : cells) conservation = conservation && c.conservation;
   conservation = conservation && repeat.conservation;
-  const bool pass = hedge.pass && retry.pass && failover.pass &&
-                    conservation && determinism;
   std::printf(
       "\ngates: hedge %s, retry %s, failover %s, conservation %s, "
       "determinism %s\n",
@@ -422,163 +425,137 @@ int main() {
       failover.pass ? "ok" : "FAIL", conservation ? "ok" : "FAIL",
       determinism ? "ok" : "FAIL");
 
-  // ---- BENCH_PR9.json -------------------------------------------------
   const ReplicationConfig sched_ref = policy_stack(2, micros(0));
-  telemetry::JsonWriter w;
-  w.begin_object();
-  w.key("bench");
-  w.value("ext_replica");
-  w.key("schema_version");
-  w.value(std::uint64_t{1});
-  w.key("offered_per_cell");
-  w.value(offered);
-  w.key("servers");
-  w.value(static_cast<std::uint64_t>(kServers));
-  w.key("window_us");
-  w.value(kWindow.value());
-  w.key("calibration");
-  w.begin_object();
-  w.key("queries");
-  w.value(cal.queries);
-  w.key("mean_service_us");
-  w.value(cal.mean_service.value());
-  w.key("p99_service_us");
-  w.value(cal.p99_service.value());
-  w.key("median_slowest_shard_us");
-  w.value(cal.median_slowest_shard.value());
-  w.key("capacity_qps");
-  w.value(cal.capacity_qps);
-  w.key("fault_spike_us");
-  w.value(spike.value());
-  w.end_object();
-  w.key("backoff_schedule_us");
-  w.begin_array();
-  for (std::uint32_t k = 0; k < sched_ref.retry_budget; ++k) {
-    w.value(sched_ref.backoff_at(k).value());
-  }
-  w.end_array();
-  w.key("cells");
-  w.begin_array();
-  for (const CellOutcome& c : cells) {
-    const TrafficResult& r = c.result;
-    w.begin_object();
-    w.key("name");
-    w.value(c.cell->name);
-    w.key("replication_factor");
-    w.value(static_cast<std::uint64_t>(c.cell->factor));
-    w.key("faulty");
-    w.value(c.cell->faulty);
-    w.key("multiplier");
-    w.value(c.cell->multiplier);
-    w.key("offered");
-    w.value(r.offered);
-    w.key("served");
-    w.value(r.served);
-    w.key("shed");
-    w.value(r.shed);
-    w.key("conservation");
-    w.value(c.conservation);
-    w.key("response_p50_us");
-    w.value(r.response_hist.quantile(0.50));
-    w.key("response_p99_us");
-    w.value(r.response_hist.quantile(0.99));
-    w.key("coverage_mean");
-    w.value(c.snap.coverage_mean);
-    w.key("dispatches");
-    w.value(c.snap.dispatches);
-    w.key("retries");
-    w.value(c.snap.retries);
-    w.key("hedges");
-    w.value(c.snap.hedges);
-    w.key("hedge_wins");
-    w.value(c.snap.hedge_wins);
-    w.key("failovers");
-    w.value(c.snap.failovers);
-    w.key("shards_failed");
-    w.value(c.snap.shards_failed);
-    w.key("slo_state");
-    w.value(telemetry::to_string(r.slo.front().state));
-    w.key("breach_windows");
-    w.value(r.slo.front().breach_windows);
-    w.key("fingerprint");
-    w.value(c.fingerprint);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("determinism");
-  w.begin_object();
-  w.key("cell");
-  w.value(repeat_cell->name);
-  w.key("fingerprint_a");
-  w.value(first.fingerprint);
-  w.key("fingerprint_b");
-  w.value(repeat.fingerprint);
-  w.key("match");
-  w.value(determinism);
-  w.end_object();
-  w.key("gates");
-  w.begin_object();
-  w.key("hedge_cuts_p99");
-  w.begin_object();
-  w.key("p99_no_hedge_us");
-  w.value(hedge.p99_no_hedge.value());
-  w.key("p99_hedge_us");
-  w.value(hedge.p99_hedge.value());
-  w.key("hedges");
-  w.value(hedge.hedges);
-  w.key("hedge_wins");
-  w.value(hedge.hedge_wins);
-  w.key("pass");
-  w.value(hedge.pass);
-  w.end_object();
-  w.key("retries_restore_coverage");
-  w.begin_object();
-  w.key("deadline_us");
-  w.value(retry.deadline.value());
-  w.key("coverage_no_retry");
-  w.value(retry.coverage_no_retry);
-  w.key("coverage_retry");
-  w.value(retry.coverage_retry);
-  w.key("retries");
-  w.value(retry.retries);
-  w.key("pass");
-  w.value(retry.pass);
-  w.end_object();
-  w.key("failover_keeps_slo");
-  w.begin_object();
-  w.key("primary_only_state");
-  w.value(failover.primary_only_state);
-  w.key("primary_only_breach_windows");
-  w.value(failover.primary_only_breaches);
-  w.key("failover_state");
-  w.value(failover.failover_state);
-  w.key("failover_breach_windows");
-  w.value(failover.failover_breaches);
-  w.key("failovers");
-  w.value(failover.failovers);
-  w.key("pass");
-  w.value(failover.pass);
-  w.end_object();
-  w.key("conservation");
-  w.value(conservation);
-  w.key("determinism");
-  w.value(determinism);
-  w.key("pass");
-  w.value(pass);
-  w.end_object();
-  w.end_object();
-
-  const char* out = std::getenv("SSDSE_BENCH_OUT");
-  if (!out) out = "BENCH_PR9.json";
-  FILE* f = std::fopen(out, "w");
-  if (!f) {
-    std::fprintf(stderr, "ext_replica: cannot write %s\n", out);
-    return 1;
-  }
-  const std::string& json = w.str();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out);
-
-  return pass ? 0 : 1;
+  return finish_bench(
+      "ext_replica",
+      {{"hedge_cuts_p99", hedge.pass},
+       {"retries_restore_coverage", retry.pass},
+       {"failover_keeps_slo", failover.pass},
+       {"conservation", conservation},
+       {"determinism", determinism}},
+      [&](telemetry::JsonWriter& w) {
+        w.key("offered_per_cell");
+        w.value(offered);
+        w.key("servers");
+        w.value(static_cast<std::uint64_t>(kServers));
+        w.key("window_us");
+        w.value(kWindow.value());
+        w.key("calibration");
+        w.begin_object();
+        w.key("queries");
+        w.value(cal.queries);
+        w.key("mean_service_us");
+        w.value(cal.mean_service.value());
+        w.key("p99_service_us");
+        w.value(cal.p99_service.value());
+        w.key("median_slowest_shard_us");
+        w.value(cal.median_slowest_shard.value());
+        w.key("capacity_qps");
+        w.value(cal.capacity_qps);
+        w.key("fault_spike_us");
+        w.value(spike.value());
+        w.end_object();
+        w.key("backoff_schedule_us");
+        w.begin_array();
+        for (std::uint32_t k = 0; k < sched_ref.retry_budget; ++k) {
+          w.value(sched_ref.backoff_at(k).value());
+        }
+        w.end_array();
+        w.key("cells");
+        w.begin_array();
+        for (const CellOutcome& c : cells) {
+          const TrafficResult& r = c.result;
+          w.begin_object();
+          w.key("name");
+          w.value(c.cell->name);
+          w.key("replication_factor");
+          w.value(static_cast<std::uint64_t>(c.cell->factor));
+          w.key("faulty");
+          w.value(c.cell->faulty);
+          w.key("multiplier");
+          w.value(c.cell->multiplier);
+          w.key("offered");
+          w.value(r.offered);
+          w.key("served");
+          w.value(r.served);
+          w.key("shed");
+          w.value(r.shed);
+          w.key("conservation");
+          w.value(c.conservation);
+          w.key("response_p50_us");
+          w.value(r.response_hist.quantile(0.50));
+          w.key("response_p99_us");
+          w.value(r.response_hist.quantile(0.99));
+          w.key("coverage_mean");
+          w.value(c.snap.coverage_mean);
+          w.key("dispatches");
+          w.value(c.snap.dispatches);
+          w.key("retries");
+          w.value(c.snap.retries);
+          w.key("hedges");
+          w.value(c.snap.hedges);
+          w.key("hedge_wins");
+          w.value(c.snap.hedge_wins);
+          w.key("failovers");
+          w.value(c.snap.failovers);
+          w.key("routing_changes");
+          w.value(c.snap.routing_changes);
+          w.key("shards_failed");
+          w.value(c.snap.shards_failed);
+          w.key("slo_state");
+          w.value(telemetry::to_string(r.slo.front().state));
+          w.key("breach_windows");
+          w.value(r.slo.front().breach_windows);
+          w.key("fingerprint");
+          w.value(c.fingerprint);
+          w.end_object();
+        }
+        w.end_array();
+        w.key("determinism");
+        w.begin_object();
+        w.key("cell");
+        w.value(repeat_cell->name);
+        w.key("fingerprint_a");
+        w.value(first.fingerprint);
+        w.key("fingerprint_b");
+        w.value(repeat.fingerprint);
+        w.end_object();
+        w.key("hedge");
+        w.begin_object();
+        w.key("p99_no_hedge_us");
+        w.value(hedge.p99_no_hedge.value());
+        w.key("p99_hedge_us");
+        w.value(hedge.p99_hedge.value());
+        w.key("hedges");
+        w.value(hedge.hedges);
+        w.key("hedge_wins");
+        w.value(hedge.hedge_wins);
+        w.end_object();
+        w.key("retry");
+        w.begin_object();
+        w.key("deadline_us");
+        w.value(retry.deadline.value());
+        w.key("coverage_no_retry");
+        w.value(retry.coverage_no_retry);
+        w.key("coverage_retry");
+        w.value(retry.coverage_retry);
+        w.key("retries");
+        w.value(retry.retries);
+        w.end_object();
+        w.key("failover");
+        w.begin_object();
+        w.key("primary_only_state");
+        w.value(failover.primary_only_state);
+        w.key("primary_only_breach_windows");
+        w.value(failover.primary_only_breaches);
+        w.key("failover_state");
+        w.value(failover.failover_state);
+        w.key("failover_breach_windows");
+        w.value(failover.failover_breaches);
+        w.key("failovers");
+        w.value(failover.failovers);
+        w.key("routing_changes");
+        w.value(failover.routing_changes);
+        w.end_object();
+      });
 }

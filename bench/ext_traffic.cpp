@@ -3,8 +3,8 @@
 // the cluster's calibrated capacity through the arrival harness
 // (src/workload/arrival.hpp) and gates:
 //
-//  1. *SLO met at 1x.* At the utilization-target load the p99 SLO
-//     never breaches (no breach windows over the run).
+//  1. *SLO met at 1x.* At the utilization-target load, and at 0.5x,
+//     the p99 SLO never breaches (no breach windows over the run).
 //  2. *Breach detected and attributed at 2x.* Past saturation the SLO
 //     breaches and the worst-N attribution names queue_wait — tail
 //     latency at overload is queueing, not service.
@@ -17,9 +17,9 @@
 // verdict about it is stable. Capacity is calibrated per run from a
 // closed-loop pass, so the gates track the simulator's own speed.
 //
-// Emits machine-readable JSON (SSDSE_BENCH_OUT, default
-// BENCH_PR8.json) validated by scripts/check_bench_json.py, and the
-// 1x cell's run report with the traffic/windows/slo/attribution
+// Emits the bench artifact (SSDSE_BENCH_OUT, default
+// BENCH_ext_traffic.json) validated by scripts/check_bench_json.py, and
+// the 1x cell's run report with the traffic/windows/slo/attribution
 // sections when SSDSE_TELEMETRY_OUT is set.
 #include <cstdio>
 #include <cstring>
@@ -29,7 +29,6 @@
 
 #include "bench/bench_common.hpp"
 #include "src/hybrid/traffic.hpp"
-#include "src/telemetry/json_writer.hpp"
 
 using namespace ssdse;
 using namespace ssdse::bench;
@@ -210,15 +209,13 @@ int main() {
   }
   t.print();
 
-  const bool slo_met_at_1x = cells[1].pass;
+  const bool slo_met_at_1x = cells[0].pass && cells[1].pass;
   const bool breach_at_2x = cells[2].result.slo.front().breach_windows > 0;
   const bool attributed =
       cells[2].result.guilty_stage == "queue_wait";
   bool conservation = true;
   for (const CellOutcome& c : cells) conservation = conservation && c.conservation;
   conservation = conservation && repeat.conservation;
-  const bool pass = slo_met_at_1x && breach_at_2x && attributed &&
-                    conservation && determinism && cells[0].pass;
 
   std::printf(
       "\ngates: met@1x %s, breach@2x %s, attributed %s (%s), "
@@ -227,134 +224,103 @@ int main() {
       attributed ? "ok" : "FAIL", cells[2].result.guilty_stage.c_str(),
       conservation ? "ok" : "FAIL", determinism ? "ok" : "FAIL");
 
-  // ---- BENCH_PR8.json -------------------------------------------------
-  telemetry::JsonWriter w;
-  w.begin_object();
-  w.key("bench");
-  w.value("ext_traffic");
-  w.key("schema_version");
-  w.value(std::uint64_t{1});
-  w.key("offered_per_cell");
-  w.value(offered);
-  w.key("servers");
-  w.value(static_cast<std::uint64_t>(kServers));
-  w.key("queue_capacity");
-  w.value(static_cast<std::uint64_t>(kQueueCapacity));
-  w.key("window_us");
-  w.value(kWindow.value());
-  w.key("calibration");
-  w.begin_object();
-  w.key("queries");
-  w.value(cal.queries);
-  w.key("mean_service_us");
-  w.value(cal.mean_service.value());
-  w.key("p99_service_us");
-  w.value(cal.p99_service.value());
-  w.key("utilization_target");
-  w.value(kUtilizationTarget);
-  w.key("capacity_qps");
-  w.value(cal.capacity_qps);
-  w.end_object();
-  w.key("cells");
-  w.begin_array();
-  for (const CellOutcome& c : cells) {
-    const TrafficResult& r = c.result;
-    w.begin_object();
-    w.key("name");
-    w.value(c.cell->name);
-    w.key("multiplier");
-    w.value(c.cell->multiplier);
-    w.key("expect");
-    w.value(c.cell->expect);
-    w.key("offered");
-    w.value(r.offered);
-    w.key("served");
-    w.value(r.served);
-    w.key("shed");
-    w.value(r.shed);
-    w.key("outliers");
-    w.value(r.outliers);
-    w.key("conservation");
-    w.value(c.conservation);
-    w.key("windows");
-    w.value(static_cast<std::uint64_t>(r.response_windows.cells().size()));
-    w.key("response_p50_us");
-    w.value(r.response_hist.quantile(0.50));
-    w.key("response_p99_us");
-    w.value(r.response_hist.quantile(0.99));
-    w.key("response_p999_us");
-    w.value(r.response_hist.quantile(0.999));
-    w.key("wait_p99_us");
-    w.value(r.wait_hist.quantile(0.99));
-    w.key("guilty_stage");
-    w.value(r.guilty_stage);
-    w.key("fingerprint");
-    w.value(c.fingerprint);
-    w.key("slo");
-    w.begin_array();
-    for (const SloReport& s : r.slo) {
-      w.begin_object();
-      w.key("name");
-      w.value(s.spec.name);
-      w.key("state");
-      w.value(telemetry::to_string(s.state));
-      w.key("windows");
-      w.value(s.windows);
-      w.key("breach_windows");
-      w.value(s.breach_windows);
-      w.key("first_breach_window");
-      w.value(s.first_breach_window);
-      w.key("burn_slow");
-      w.value(s.burn_slow);
-      w.key("max_burn_fast");
-      w.value(s.max_burn_fast);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("pass");
-    w.value(c.pass);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("determinism");
-  w.begin_object();
-  w.key("cell");
-  w.value("1x");
-  w.key("fingerprint_a");
-  w.value(cells[1].fingerprint);
-  w.key("fingerprint_b");
-  w.value(repeat.fingerprint);
-  w.key("match");
-  w.value(determinism);
-  w.end_object();
-  w.key("gates");
-  w.begin_object();
-  w.key("slo_met_at_1x");
-  w.value(slo_met_at_1x);
-  w.key("breach_at_2x");
-  w.value(breach_at_2x);
-  w.key("attributed_queue_wait_at_2x");
-  w.value(attributed);
-  w.key("conservation");
-  w.value(conservation);
-  w.key("determinism");
-  w.value(determinism);
-  w.key("pass");
-  w.value(pass);
-  w.end_object();
-  w.end_object();
-
-  const char* out = std::getenv("SSDSE_BENCH_OUT");
-  if (!out) out = "BENCH_PR8.json";
-  FILE* f = std::fopen(out, "w");
-  if (!f) {
-    std::fprintf(stderr, "ext_traffic: cannot write %s\n", out);
-    return 1;
-  }
-  const std::string& json = w.str();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out);
-
-  return pass ? 0 : 1;
+  return finish_bench(
+      "ext_traffic",
+      {{"slo_met_at_1x", slo_met_at_1x},
+       {"breach_at_2x", breach_at_2x},
+       {"attributed_queue_wait_at_2x", attributed},
+       {"conservation", conservation},
+       {"determinism", determinism}},
+      [&](telemetry::JsonWriter& w) {
+        w.key("offered_per_cell");
+        w.value(offered);
+        w.key("servers");
+        w.value(static_cast<std::uint64_t>(kServers));
+        w.key("queue_capacity");
+        w.value(static_cast<std::uint64_t>(kQueueCapacity));
+        w.key("window_us");
+        w.value(kWindow.value());
+        w.key("calibration");
+        w.begin_object();
+        w.key("queries");
+        w.value(cal.queries);
+        w.key("mean_service_us");
+        w.value(cal.mean_service.value());
+        w.key("p99_service_us");
+        w.value(cal.p99_service.value());
+        w.key("utilization_target");
+        w.value(kUtilizationTarget);
+        w.key("capacity_qps");
+        w.value(cal.capacity_qps);
+        w.end_object();
+        w.key("cells");
+        w.begin_array();
+        for (const CellOutcome& c : cells) {
+          const TrafficResult& r = c.result;
+          w.begin_object();
+          w.key("name");
+          w.value(c.cell->name);
+          w.key("multiplier");
+          w.value(c.cell->multiplier);
+          w.key("expect");
+          w.value(c.cell->expect);
+          w.key("offered");
+          w.value(r.offered);
+          w.key("served");
+          w.value(r.served);
+          w.key("shed");
+          w.value(r.shed);
+          w.key("outliers");
+          w.value(r.outliers);
+          w.key("conservation");
+          w.value(c.conservation);
+          w.key("windows");
+          w.value(static_cast<std::uint64_t>(
+              r.response_windows.cells().size()));
+          w.key("response_p50_us");
+          w.value(r.response_hist.quantile(0.50));
+          w.key("response_p99_us");
+          w.value(r.response_hist.quantile(0.99));
+          w.key("response_p999_us");
+          w.value(r.response_hist.quantile(0.999));
+          w.key("wait_p99_us");
+          w.value(r.wait_hist.quantile(0.99));
+          w.key("guilty_stage");
+          w.value(r.guilty_stage);
+          w.key("fingerprint");
+          w.value(c.fingerprint);
+          w.key("slo");
+          w.begin_array();
+          for (const SloReport& s : r.slo) {
+            w.begin_object();
+            w.key("name");
+            w.value(s.spec.name);
+            w.key("state");
+            w.value(telemetry::to_string(s.state));
+            w.key("windows");
+            w.value(s.windows);
+            w.key("breach_windows");
+            w.value(s.breach_windows);
+            w.key("first_breach_window");
+            w.value(s.first_breach_window);
+            w.key("burn_slow");
+            w.value(s.burn_slow);
+            w.key("max_burn_fast");
+            w.value(s.max_burn_fast);
+            w.end_object();
+          }
+          w.end_array();
+          w.end_object();
+        }
+        w.end_array();
+        w.key("determinism");
+        w.begin_object();
+        w.key("cell");
+        w.value("1x");
+        w.key("fingerprint_a");
+        w.value(cells[1].fingerprint);
+        w.key("fingerprint_b");
+        w.value(repeat.fingerprint);
+        w.end_object();
+      });
 }

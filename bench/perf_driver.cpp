@@ -1,7 +1,7 @@
 // Wall-clock performance driver: measures the speed of the *simulator
 // itself* (not simulated time) on a fixed workload, and emits the
-// result as BENCH_PR3.json so the perf trajectory of the repo is
-// tracked across PRs (ROADMAP: "runs as fast as the hardware allows").
+// result as BENCH_perf_driver.json; that file's git history is the
+// repo's perf trajectory.
 //
 // Three phases isolate the layers of the query hot path:
 //  * daat  — materialized-index conjunctive top-K (DaatProcessor) on a
@@ -17,8 +17,10 @@
 // reproduce its pinned fingerprint, or the driver exits non-zero; this
 // is the one place the pins are enforced.
 //
-// Override query counts with SSDSE_QUERIES (system phases) and
-// SSDSE_DAAT_QUERIES; output path with SSDSE_BENCH_OUT.
+// Gates: `pins` (every enforced phase reproduces its pin) and
+// `trace_guard` (below). Override query counts with SSDSE_QUERIES
+// (system phases) and SSDSE_DAAT_QUERIES; output path with
+// SSDSE_BENCH_OUT.
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
@@ -67,7 +69,7 @@ std::uint64_t daat_loop(const DaatWorkload& w,
     const ResultEntry r = daat.intersect(*w.index, q, &stats);
     checksum = fold_checksum(checksum, stats, r);
     if constexpr (kTraced) {
-      tracer->add_span(telemetry::TraceStage::kDaatScore,
+      tracer->add_span(telemetry::TraceStage::kScore,
                        static_cast<Micros>(stats.postings_touched));
       tracer->end_query(static_cast<Micros>(stats.postings_touched));
     }
@@ -168,61 +170,12 @@ PhaseResult run_ssd_phase(std::uint64_t queries, const char* report_path) {
   return run_system_phase("ssd", cfg, queries, kSsdPinPpm, report_path);
 }
 
-void write_json(const char* path, const std::vector<PhaseResult>& phases,
-                const TraceGuardResult& guard) {
-  FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "perf_driver: cannot write %s\n", path);
-    std::exit(1);
-  }
-  std::uint64_t total_q = 0;
-  double total_ms = 0;
-  for (const auto& p : phases) {
-    total_q += p.queries;
-    total_ms += p.wall_ms;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"perf_driver\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"phases\": [\n");
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    const auto& p = phases[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"queries\": %llu, "
-                 "\"wall_ms\": %.3f, \"qps\": %.1f, "
-                 "\"fingerprint\": %llu, \"pin\": %llu, "
-                 "\"pin_enforced\": %s, \"pin_match\": %s}%s\n",
-                 p.name, static_cast<unsigned long long>(p.queries),
-                 p.wall_ms, p.qps,
-                 static_cast<unsigned long long>(p.fingerprint),
-                 static_cast<unsigned long long>(p.pin),
-                 p.pin_enforced ? "true" : "false",
-                 p.pin_match() ? "true" : "false",
-                 i + 1 < phases.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"trace_guard\": {\"fingerprint_match\": %s, "
-               "\"wall_ratio\": %.4f, \"enforced\": %s, \"pass\": %s},\n",
-               guard.fingerprint_off == guard.fingerprint_on ? "true"
-                                                             : "false",
-               guard.wall_ratio, guard.enforced ? "true" : "false",
-               guard.pass ? "true" : "false");
-  std::fprintf(f,
-               "  \"total\": {\"queries\": %llu, \"wall_ms\": %.3f, "
-               "\"qps\": %.1f}\n}\n",
-               static_cast<unsigned long long>(total_q), total_ms,
-               1000.0 * static_cast<double>(total_q) / total_ms);
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main() {
   print_environment("perf driver — simulator wall-clock throughput");
   const auto system_queries = default_queries(kFullSystemQueries);
   const auto daat_queries = env_count("SSDSE_DAAT_QUERIES", kFullDaatQueries);
-  const char* out = std::getenv("SSDSE_BENCH_OUT");
-  if (!out) out = "BENCH_PR3.json";
   const char* telemetry_out = std::getenv("SSDSE_TELEMETRY_OUT");
   if (!telemetry_out) telemetry_out = "TELEMETRY.json";
 
@@ -241,31 +194,63 @@ int main() {
   record(run_daat_phase(daat_queries));
   record(run_cache_phase(system_queries));
   record(run_ssd_phase(system_queries, telemetry_out));
+  std::printf("wrote %s\n", telemetry_out);
 
   const TraceGuardResult guard = run_trace_guard(daat_queries);
   std::printf("  trace guard: wall ratio %.3f (idle-instrumented / "
-              "compiled-out), fingerprints %s%s\n",
+              "compiled-out), fingerprints %llu vs %llu%s\n",
               guard.wall_ratio,
-              guard.fingerprint_off == guard.fingerprint_on ? "match"
-                                                            : "DIFFER",
+              static_cast<unsigned long long>(guard.fingerprint_off),
+              static_cast<unsigned long long>(guard.fingerprint_on),
               guard.enforced ? "" : " [ratio not enforced: debug build]");
 
-  write_json(out, phases, guard);
-  std::printf("wrote %s and %s\n", out, telemetry_out);
-
-  if (!pins_ok) {
-    std::fprintf(stderr,
-                 "perf_driver: a phase fingerprint differs from its pin\n");
-    return 1;
-  }
-  if (!guard.pass) {
-    std::fprintf(stderr,
-                 "perf_driver: zero-overhead trace guard FAILED "
-                 "(ratio %.3f, fingerprints %llu vs %llu)\n",
-                 guard.wall_ratio,
-                 static_cast<unsigned long long>(guard.fingerprint_off),
-                 static_cast<unsigned long long>(guard.fingerprint_on));
-    return 1;
-  }
-  return 0;
+  return finish_bench(
+      "perf_driver", {{"pins", pins_ok}, {"trace_guard", guard.pass}},
+      [&](telemetry::JsonWriter& w) {
+        std::uint64_t total_q = 0;
+        double total_ms = 0;
+        w.key("phases");
+        w.begin_array();
+        for (const PhaseResult& p : phases) {
+          w.begin_object();
+          w.key("name");
+          w.value(p.name);
+          w.key("queries");
+          w.value(p.queries);
+          w.key("wall_ms");
+          w.value(p.wall_ms);
+          w.key("qps");
+          w.value(p.qps);
+          w.key("fingerprint");
+          w.value(p.fingerprint);
+          w.key("pin");
+          w.value(p.pin);
+          w.key("pin_enforced");
+          w.value(p.pin_enforced);
+          w.end_object();
+          total_q += p.queries;
+          total_ms += p.wall_ms;
+        }
+        w.end_array();
+        w.key("trace_guard");
+        w.begin_object();
+        w.key("fingerprint_off");
+        w.value(guard.fingerprint_off);
+        w.key("fingerprint_on");
+        w.value(guard.fingerprint_on);
+        w.key("wall_ratio");
+        w.value(guard.wall_ratio);
+        w.key("enforced");
+        w.value(guard.enforced);
+        w.end_object();
+        w.key("total");
+        w.begin_object();
+        w.key("queries");
+        w.value(total_q);
+        w.key("wall_ms");
+        w.value(total_ms);
+        w.key("qps");
+        w.value(1000.0 * static_cast<double>(total_q) / total_ms);
+        w.end_object();
+      });
 }

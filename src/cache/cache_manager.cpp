@@ -362,9 +362,9 @@ Tier CacheManager::fetch_list(TermId term, Micros* time) {
   } else {
     // Index-store miss. Cost-based policies read the used prefix (early
     // termination); the traditional baseline fetches and caches whole
-    // lists when lru_whole_lists is set.
-    const bool whole = !cost_based() && cfg_.lru_whole_lists;
-    const Bytes fetch_bytes = whole ? meta.list_bytes : needed;
+    // lists (paper §VII.A: "only part of inverted lists are cached in
+    // CBLRU/CBSLRU, the limited cache can hold much more valid data").
+    const Bytes fetch_bytes = cost_based() ? needed : meta.list_bytes;
     *time += read_list_from_hdd(term, fetch_bytes);
     served = Tier::kHdd;
     mem_bytes = fetch_bytes;

@@ -93,13 +93,6 @@ struct CacheConfig {
   /// cache tier's flash-read outcomes. Inert with no read errors.
   CircuitBreakerConfig breaker;
 
-  /// Baseline semantics: the traditional LRU list cache holds *whole*
-  /// inverted lists (paper §VII.A: "only part of inverted lists are
-  /// cached in CBLRU/CBSLRU, the limited cache can hold much more valid
-  /// data"). Set false for a partial-list LRU ablation that differs from
-  /// CBLRU only in replacement/placement management.
-  bool lru_whole_lists = true;
-
   /// Result entries assembled per 128 KiB result block (6 x 20 KiB).
   [[nodiscard]] std::uint32_t results_per_rb() const {
     return static_cast<std::uint32_t>(block_bytes / kResultEntrySlotBytes);

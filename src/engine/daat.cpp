@@ -117,7 +117,7 @@ ResultEntry DaatProcessor::intersect(const MaterializedIndex& index,
 // --- MaxScoreDaatProcessor ----------------------------------------------
 //
 // Bit-exactness contract with DaatProcessor (the oracle), relied on by
-// the equivalence suites and the BENCH_PR7 gate:
+// the equivalence suites and the codec_pruning results_identical gate:
 //  * Term order: the same size-ascending std::sort over the same input
 //    permutation — scores are accumulated in double in term order, so
 //    the order must match for the float results to match bit-for-bit.

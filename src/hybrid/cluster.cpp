@@ -48,6 +48,11 @@ SearchCluster::SearchCluster(const ClusterConfig& cfg) : cfg_(cfg) {
   // Replica-fleet aggregates are pulled from the groups at snapshot
   // time (after any run_parallel join), so the broker registry never
   // races shard threads.
+  broker_registry_.counter_fn("cluster.broker.routing_changes", [this] {
+    std::uint64_t total = 0;
+    for (const auto& g : groups_) total += g->routing_changes();
+    return total;
+  });
   broker_registry_.counter_fn("cluster.replica.dispatches", [this] {
     std::uint64_t total = 0;
     for (const auto& g : groups_) total += g->dispatches();
@@ -85,14 +90,12 @@ SearchCluster::SearchCluster(const ClusterConfig& cfg) : cfg_(cfg) {
     }
     return total;
   });
-#if SSDSE_TRACING
   broker_registry_.histogram(
       "trace.broker_merge.us",
       &broker_tracer_.stage_hist(telemetry::TraceStage::kBrokerMerge));
   broker_registry_.histogram(
       "trace.broker_retry.us",
       &broker_tracer_.stage_hist(telemetry::TraceStage::kBrokerRetry));
-#endif
 }
 
 SearchCluster::ClusterOutcome SearchCluster::merge_replies(
@@ -101,9 +104,7 @@ SearchCluster::ClusterOutcome SearchCluster::merge_replies(
   const Micros deadline = cfg_.shard_deadline;
   const bool policy = cfg_.replication.active();
   ++broker_queries_;
-#if SSDSE_TRACING
   broker_tracer_.begin_query(qid);
-#endif
 
   std::vector<ScoredDoc> merged;
   Situation worst_situation = Situation::kS1_ResultMemory;
@@ -187,7 +188,6 @@ SearchCluster::ClusterOutcome SearchCluster::merge_replies(
   out.response = wait + cfg_.network_rtt +
                  cfg_.merge_cpu_per_shard *
                      static_cast<double>(out.shards_included);
-#if SSDSE_TRACING
   broker_tracer_.add_span(telemetry::TraceStage::kBrokerMerge,
                           out.response - wait);
   if (retry_overhead > Micros{}) {
@@ -195,7 +195,6 @@ SearchCluster::ClusterOutcome SearchCluster::merge_replies(
                             retry_overhead);
   }
   broker_tracer_.end_query(out.response);
-#endif
   metrics_.record(worst_situation, out.response);
   return out;
 }
@@ -305,6 +304,7 @@ ReplicationSnapshot SearchCluster::replication_snapshot() const {
   snap.slots.resize(snap.replication_factor);
   for (const auto& g : groups_) {
     snap.dispatches += g->dispatches();
+    snap.routing_changes += g->routing_changes();
     snap.observed_faults += g->observed_faults();
     for (std::size_t r = 0; r < g->num_replicas(); ++r) {
       const ReplicaGroup::ReplicaState& st = g->state(r);

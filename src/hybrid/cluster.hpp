@@ -71,6 +71,9 @@ struct ReplicationSnapshot {
   /// Shard requests whose first attempt went to a replica other than 0
   /// — up to queries x shards, not the number of routing changes.
   std::uint64_t failovers = 0;
+  /// Shard requests whose first replica differs from the previous
+  /// request's on the same shard: how often routing actually changed.
+  std::uint64_t routing_changes = 0;
   std::uint64_t shards_dropped = 0;
   std::uint64_t shards_failed = 0;  // dropped with a fault-classified reply
   std::uint64_t observed_faults = 0;

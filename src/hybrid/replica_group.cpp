@@ -156,6 +156,10 @@ GroupReply ReplicaGroup::serve(const Query& q) {
     ++failovers_;
     reply.failovers = 1;
   }
+  if (order[0] != last_first_) {
+    ++routing_changes_;
+    last_first_ = order[0];
+  }
 
   Attempt win = run_attempt(order[0], q);
   std::size_t next_slot = 1;

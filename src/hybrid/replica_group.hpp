@@ -158,6 +158,13 @@ class ReplicaGroup {
   /// Served requests whose first attempt went to a replica other than
   /// 0 (one per request, not per routing change).
   [[nodiscard]] std::uint64_t failovers() const { return failovers_; }
+  /// Policy-path requests whose first replica differs from the previous
+  /// request's (the group's first request compares against replica 0).
+  /// At most 2 x failovers(): each change starts a request on a
+  /// non-primary replica or ends a run of them.
+  [[nodiscard]] std::uint64_t routing_changes() const {
+    return routing_changes_;
+  }
   [[nodiscard]] std::uint64_t observed_faults() const {
     return observed_faults_;
   }
@@ -201,6 +208,8 @@ class ReplicaGroup {
   std::uint64_t hedges_ = 0;
   std::uint64_t hedge_wins_ = 0;
   std::uint64_t failovers_ = 0;
+  std::uint64_t routing_changes_ = 0;
+  std::size_t last_first_ = 0;  // first replica of the previous request
   std::uint64_t observed_faults_ = 0;
   std::vector<std::size_t> order_scratch_;
 };

@@ -247,6 +247,8 @@ void append_replication_json(telemetry::JsonWriter& w,
   w.value(rs.hedge_wins);
   w.key("failovers");
   w.value(rs.failovers);
+  w.key("routing_changes");
+  w.value(rs.routing_changes);
   w.key("shards_dropped");
   w.value(rs.shards_dropped);
   w.key("shards_failed");
@@ -347,7 +349,7 @@ std::string render_run_report(const SearchSystem& sys,
   w.key("queries");
   w.value(rm.queries());
   w.key("tracing");
-  w.value(SSDSE_TRACING != 0 && sys.tracer().enabled());
+  w.value(sys.tracer().enabled());
 
   w.key("simulated");
   w.begin_object();
@@ -567,15 +569,18 @@ std::string render_run_report(const SearchSystem& sys,
   return w.str();
 }
 
-bool write_run_report(const SearchSystem& sys, const std::string& run_name,
-                      const std::string& path, const TrafficResult* traffic,
-                      const ReplicationSnapshot* replication) {
-  const std::string json =
-      render_run_report(sys, run_name, traffic, replication);
+bool write_json_file(const std::string& path, const std::string& json) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   return std::fclose(f) == 0 && ok;
+}
+
+bool write_run_report(const SearchSystem& sys, const std::string& run_name,
+                      const std::string& path, const TrafficResult* traffic,
+                      const ReplicationSnapshot* replication) {
+  return write_json_file(
+      path, render_run_report(sys, run_name, traffic, replication));
 }
 
 }  // namespace ssdse

@@ -37,6 +37,9 @@ std::string render_run_report(const SearchSystem& sys,
                               const TrafficResult* traffic = nullptr,
                               const ReplicationSnapshot* replication = nullptr);
 
+/// Write `json` to `path`; returns false on I/O failure.
+bool write_json_file(const std::string& path, const std::string& json);
+
 /// Write render_run_report() output to `path`; returns false on I/O
 /// failure.
 bool write_run_report(const SearchSystem& sys, const std::string& run_name,

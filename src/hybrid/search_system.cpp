@@ -328,13 +328,11 @@ void SearchSystem::register_telemetry() {
 
   metrics_.register_into(r, "query");
 
-#if SSDSE_TRACING
   for (std::size_t i = 0; i < telemetry::kNumTraceStages; ++i) {
     const auto stage = static_cast<TraceStage>(i);
     r.histogram(std::string("trace.") + telemetry::to_string(stage) + ".us",
                 &tracer_.stage_hist(stage));
   }
-#endif
 }
 
 bool SearchSystem::checkpoint() {
@@ -364,7 +362,6 @@ SearchSystem::QueryOutcome SearchSystem::execute(const Query& q) {
   Micros t = micros(0);
   cm_->advance_time();  // logical clock for the TTL dynamic scenario
 
-#if SSDSE_TRACING
   using telemetry::TraceStage;
   tracer_.begin_query(q.id);
   // Background flash work (write-buffer flushes, and the GC they drag
@@ -384,17 +381,12 @@ SearchSystem::QueryOutcome SearchSystem::execute(const Query& q) {
     if (gc > Micros{}) tracer_.add_span(TraceStage::kFtlGc, gc);
     tracer_.end_query(total);
   };
-#endif
 
   const auto implied = static_cast<std::uint64_t>(1 + q.terms.size());
   Tier rtier = Tier::kMemory;
-#if SSDSE_TRACING
   const Micros trace_probe0 = t;
-#endif
   const ResultEntry* hit = cm_->lookup_result(q.id, q.terms, &rtier, &t);
-#if SSDSE_TRACING
   tracer_.add_span(TraceStage::kResultProbe, t - trace_probe0);
-#endif
   if (hit) {
     t += kResultServeCpu;
     out.response = t;
@@ -404,9 +396,7 @@ SearchSystem::QueryOutcome SearchSystem::execute(const Query& q) {
     metrics_.record(out.situation, t);
     // A result hit covers the query's whole implied data demand.
     metrics_.record_coverage(implied, implied);
-#if SSDSE_TRACING
     trace_finish(t);
-#endif
     maybe_checkpoint();
     return out;
   }
@@ -431,9 +421,7 @@ SearchSystem::QueryOutcome SearchSystem::execute(const Query& q) {
       covered_mask |= 1ull << i;
     }
   };
-#if SSDSE_TRACING
   const Micros trace_ix0 = t;
-#endif
   for (std::size_t i = 0; i + 1 < q.terms.size(); i += 2) {
     if (cm_->lookup_intersection(q.terms[i], q.terms[i + 1], &t)) {
       mark_covered(i);
@@ -441,39 +429,29 @@ SearchSystem::QueryOutcome SearchSystem::execute(const Query& q) {
       used_mem = true;
     }
   }
-#if SSDSE_TRACING
   // Intersection probes are memory-resident list service.
   if (t > trace_ix0) tracer_.add_span(TraceStage::kListFetchMem, t - trace_ix0);
-#endif
   std::uint64_t covered_requests = 0;
   for (std::size_t i = 0; i < q.terms.size(); ++i) {
     if (covered(i)) {
       ++covered_requests;  // intersection hit covered this term
       continue;
     }
-#if SSDSE_TRACING
     const Micros trace_fetch0 = t;
-#endif
     switch (cm_->fetch_list(q.terms[i], &t)) {
       case Tier::kMemory:
         used_mem = true;
         ++covered_requests;
-#if SSDSE_TRACING
         tracer_.add_span(TraceStage::kListFetchMem, t - trace_fetch0);
-#endif
         break;
       case Tier::kSsd:
         used_ssd = true;
         ++covered_requests;
-#if SSDSE_TRACING
         tracer_.add_span(TraceStage::kListFetchSsd, t - trace_fetch0);
-#endif
         break;
       case Tier::kHdd:
         used_hdd = true;
-#if SSDSE_TRACING
         tracer_.add_span(TraceStage::kListFetchHdd, t - trace_fetch0);
-#endif
         break;
     }
   }
@@ -481,9 +459,7 @@ SearchSystem::QueryOutcome SearchSystem::execute(const Query& q) {
 
   ScoreOutcome scored = scorer_.score(*index_, q);
   t += scored.cpu_time;
-#if SSDSE_TRACING
-  tracer_.add_span(TraceStage::kDaatScore, scored.cpu_time);
-#endif
+  tracer_.add_span(TraceStage::kScore, scored.cpu_time);
   cm_->insert_result(scored.result);
   // Admit intersections computed as a by-product of scoring.
   for (std::size_t i = 0; i + 1 < q.terms.size(); i += 2) {
@@ -496,9 +472,7 @@ SearchSystem::QueryOutcome SearchSystem::execute(const Query& q) {
       classify_situation(false, rtier, used_mem, used_ssd, used_hdd);
   out.result = std::move(scored.result);
   metrics_.record(out.situation, t);
-#if SSDSE_TRACING
   trace_finish(t);
-#endif
   maybe_checkpoint();
   return out;
 }
@@ -571,11 +545,9 @@ DocId SearchSystem::ingest_document(
   const Micros cost =
       kIngestApplyCpu + kIngestPerPosting * static_cast<double>(postings);
   ingest_stats_.apply_time += cost;
-#if SSDSE_TRACING
   tracer_.begin_query(QueryId{id.raw()});
   tracer_.add_span(telemetry::TraceStage::kIngestApply, cost);
   tracer_.end_query(cost);
-#endif
   if (live_->should_merge()) merge_now();
   return assigned;
 }
@@ -601,11 +573,9 @@ bool SearchSystem::delete_document(DocId doc) {
   const Micros cost =
       kIngestApplyCpu + kIngestPerPosting * static_cast<double>(terms.size());
   ingest_stats_.apply_time += cost;
-#if SSDSE_TRACING
   tracer_.begin_query(QueryId{doc.raw()});
   tracer_.add_span(telemetry::TraceStage::kIngestApply, cost);
   tracer_.end_query(cost);
-#endif
   if (live_->should_merge()) merge_now();
   return true;
 }
@@ -626,11 +596,9 @@ void SearchSystem::merge_now() {
   const Micros cost =
       kMergePerPosting * static_cast<double>(outcome.postings_rewritten);
   ingest_stats_.merge_time += cost;
-#if SSDSE_TRACING
   tracer_.begin_query(static_cast<QueryId>(ingest_stats_.merges));
   tracer_.add_span(telemetry::TraceStage::kSegmentMerge, cost);
   tracer_.end_query(cost);
-#endif
 }
 
 void SearchSystem::replay_ingest_log(const std::string& log_path) {

@@ -119,8 +119,7 @@ class SearchSystem {
   telemetry::MetricsRegistry& telemetry_registry() { return registry_; }
   [[nodiscard]] const telemetry::QueryTracer& tracer() const { return tracer_; }
   telemetry::QueryTracer& tracer() { return tracer_; }
-  /// Runtime switch; has no effect when spans are compiled out
-  /// (SSDSE_TRACING=0).
+  /// The tracing switch: off, every span site costs one branch.
   void set_tracing(bool on) { tracer_.set_enabled(on); }
 
   /// Flush the write buffer and settle background state (end of run).

@@ -55,7 +55,7 @@ struct SloSpec {
   /// Minimum acceptable result coverage (shards merged / shards asked).
   /// A served response below the floor is a bad event even when it is
   /// fast — partial results burn error budget instead of silently
-  /// counting as good. 0 disables the check (the PR 8 behavior).
+  /// counting as good. 0 disables the check: coverage is ignored.
   double coverage_floor = 0.0;
 
   /// Good iff at or below threshold — an exactly-on-threshold response

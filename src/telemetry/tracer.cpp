@@ -10,7 +10,7 @@ const char* to_string(TraceStage stage) {
     case TraceStage::kListFetchMem: return "list_fetch_mem";
     case TraceStage::kListFetchSsd: return "list_fetch_ssd";
     case TraceStage::kListFetchHdd: return "list_fetch_hdd";
-    case TraceStage::kDaatScore: return "daat_score";
+    case TraceStage::kScore: return "score";
     case TraceStage::kWriteBufferFlush: return "write_buffer_flush";
     case TraceStage::kFtlGc: return "ftl_gc";
     case TraceStage::kBrokerMerge: return "broker_merge";

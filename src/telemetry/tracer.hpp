@@ -1,23 +1,16 @@
 // QueryTracer: per-query span recording over simulated time.
 //
 // A query's simulated latency is the sum of stage costs the engine adds
-// to its `Micros` accumulator (result probe, per-tier list fetches, DAAT
+// to its `Micros` accumulator (result probe, per-tier list fetches,
 // scoring) plus background flash work it triggers. The tracer attributes
 // those microseconds to a fixed span taxonomy and keeps (a) per-stage
 // LatencyHistogram + StreamingStats aggregates for the whole run and
 // (b) a bounded ring buffer of complete per-query traces for tail
 // inspection.
 //
-// Tracing is compile-time gated: build with -DSSDSE_TRACING=0 (CMake
-// option SSDSE_TRACING=OFF) and the SSDSE_SPAN helper expands to
-// nothing, so the PR-2 hot-path numbers are untouched. With tracing
-// compiled in but `set_enabled(false)`, instrumentation reduces to one
-// branch per span site.
+// The one switch is `set_enabled`: with it off, instrumentation reduces
+// to one branch per span site.
 #pragma once
-
-#ifndef SSDSE_TRACING
-#define SSDSE_TRACING 1
-#endif
 
 #include <array>
 #include <cstdint>
@@ -36,7 +29,7 @@ enum class TraceStage : std::uint8_t {
   kListFetchMem,       // posting list served from RAM (QM hit)
   kListFetchSsd,       // posting list served from the SSD list cache
   kListFetchHdd,       // posting list fetched from HDD
-  kDaatScore,          // document-at-a-time scoring CPU time
+  kScore,              // Scorer's term-at-a-time scoring CPU time
   kWriteBufferFlush,   // background flash writes minus GC (flush cost)
   kFtlGc,              // FTL garbage-collection time the query triggered
   kBrokerMerge,        // cluster broker: fan-out RTT + top-K merge
@@ -121,38 +114,4 @@ class QueryTracer {
   bool ring_full_ = false;
 };
 
-/// RAII span helper for code regions that advance a simulated clock:
-/// samples the clock reference at construction and attributes the delta
-/// on destruction.
-class SpanTimer {
- public:
-  SpanTimer(QueryTracer& tracer, TraceStage stage, const Micros& clock)
-      : tracer_(tracer), stage_(stage), clock_(clock), start_(clock) {}
-  ~SpanTimer() { tracer_.add_span(stage_, clock_ - start_); }
-
-  SpanTimer(const SpanTimer&) = delete;
-  SpanTimer& operator=(const SpanTimer&) = delete;
-
- private:
-  QueryTracer& tracer_;
-  TraceStage stage_;
-  const Micros& clock_;
-  Micros start_;
-};
-
 }  // namespace ssdse::telemetry
-
-// Span site helper: compiles to nothing when tracing is disabled at
-// build time, so instrumented functions carry zero overhead.
-#if SSDSE_TRACING
-#define SSDSE_SPAN_CONCAT2(a, b) a##b
-#define SSDSE_SPAN_CONCAT(a, b) SSDSE_SPAN_CONCAT2(a, b)
-#define SSDSE_SPAN(tracer, stage, clock)                            \
-  ::ssdse::telemetry::SpanTimer SSDSE_SPAN_CONCAT(ssdse_span_,      \
-                                                  __LINE__)(tracer, \
-                                                            stage, clock)
-#else
-#define SSDSE_SPAN(tracer, stage, clock) \
-  do {                                   \
-  } while (false)
-#endif

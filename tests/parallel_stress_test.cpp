@@ -183,7 +183,8 @@ TEST(ParallelStressTest, ReplicatedPolicyRunMatchesSequentialExactly) {
   const auto broker_par = par.broker_registry().snapshot();
   for (const char* name :
        {"cluster.broker.retries", "cluster.broker.hedges",
-        "cluster.broker.failovers", "cluster.replica.dispatches",
+        "cluster.broker.failovers", "cluster.broker.routing_changes",
+        "cluster.replica.dispatches",
         "cluster.replica.observed_faults"}) {
     const auto* ms = broker_seq.find(name);
     const auto* mp = broker_par.find(name);
@@ -197,6 +198,7 @@ TEST(ParallelStressTest, ReplicatedPolicyRunMatchesSequentialExactly) {
   EXPECT_EQ(snap_seq.retries, snap_par.retries);
   EXPECT_EQ(snap_seq.hedges, snap_par.hedges);
   EXPECT_EQ(snap_seq.failovers, snap_par.failovers);
+  EXPECT_EQ(snap_seq.routing_changes, snap_par.routing_changes);
   EXPECT_EQ(snap_seq.dispatches, snap_par.dispatches);
   EXPECT_DOUBLE_EQ(snap_seq.coverage_mean, snap_par.coverage_mean);
 }

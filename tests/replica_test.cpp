@@ -152,9 +152,9 @@ TEST(ReplicaTest, IdlePolicyStackMatchesPrimaryOnlyRun) {
 
 // --- Retries restore coverage -----------------------------------------
 
-// PR 4's deadline path drops slow shards; a retry re-executes the query
-// on the (now result-cached) replica well inside the deadline, so the
-// retry budget converts dropped shards back into full coverage.
+// The shard-deadline path drops slow shards; a retry re-executes the
+// query on the (now result-cached) replica well inside the deadline, so
+// the retry budget converts dropped shards back into full coverage.
 TEST(ReplicaTest, RetriesRestoreFullCoverageUnderDeadline) {
   const Micros deadline = calibrated_deadline(2);
   ASSERT_GT(deadline.value(), 0.0);
@@ -257,22 +257,25 @@ TEST(ReplicaTest, FailoverRoutesAroundSickPrimary) {
 
   const auto snap = cluster.replication_snapshot();
   EXPECT_GT(snap.failovers, 0u);
+  // Every routing change starts or ends a run of failed-over requests.
+  EXPECT_GT(snap.routing_changes, 0u);
+  EXPECT_LE(snap.routing_changes, 2 * snap.failovers);
   ASSERT_EQ(snap.slots.size(), 2u);
   EXPECT_GT(snap.slots[0].faults, 0u);
   EXPECT_EQ(snap.slots[1].faults, 0u);
   EXPECT_GT(snap.slots[1].attempts, snap.slots[0].attempts);
-  // Degraded-but-correct (PR 4): faults never cost coverage here — no
+  // Degraded-but-correct: faults never cost coverage here — no
   // deadline means every reply is on time and included.
   EXPECT_DOUBLE_EQ(snap.coverage_mean, 1.0);
 }
 
-// Regression (PR 9 carryover): unwarmed replicas used to sort *first*
-// in the EWMA try-order — a zero-initialized EWMA read as "fastest" —
-// so on a perfectly healthy cluster every cold sibling stole the
-// primary slot once, ping-ponging the order and inflating
-// cluster.broker.failovers during warm-up. A clean, warmed cluster with
-// failover armed must report zero failovers, never touch the siblings,
-// and reproduce the primary-only run exactly.
+// Regression: unwarmed replicas used to sort *first* in the EWMA
+// try-order — a zero-initialized EWMA read as "fastest" — so on a
+// perfectly healthy cluster every cold sibling stole the primary slot
+// once, ping-ponging the order and inflating cluster.broker.failovers
+// during warm-up. A clean, warmed cluster with failover armed must
+// report zero failovers and zero routing changes, never touch the
+// siblings, and reproduce the primary-only run exactly.
 TEST(ReplicaTest, WarmupDoesNotCountAsFailoverOnHealthyCluster) {
   SearchCluster baseline(small_cluster(1));
   ClusterConfig cfg = small_cluster(1);
@@ -285,6 +288,7 @@ TEST(ReplicaTest, WarmupDoesNotCountAsFailoverOnHealthyCluster) {
 
   const auto snap = cluster.replication_snapshot();
   EXPECT_EQ(snap.failovers, 0u);
+  EXPECT_EQ(snap.routing_changes, 0u);
   EXPECT_EQ(snap.retries, 0u);
   ASSERT_EQ(snap.slots.size(), 3u);
   EXPECT_EQ(snap.slots[1].attempts, 0u);  // siblings never promoted

@@ -22,7 +22,6 @@ using telemetry::MetricKind;
 using telemetry::MetricsRegistry;
 using telemetry::QueryTracer;
 using telemetry::RegistrySnapshot;
-using telemetry::SpanTimer;
 using telemetry::TraceStage;
 
 // --- JsonWriter ---------------------------------------------------------
@@ -214,9 +213,9 @@ TEST(TracerTest, SpansAccumulateAndFeedAggregates) {
       8000.0);
   EXPECT_TRUE(recent[0].touched_stage(TraceStage::kResultProbe));
   EXPECT_TRUE(recent[0].touched_stage(TraceStage::kListFetchHdd));
-  EXPECT_FALSE(recent[0].touched_stage(TraceStage::kDaatScore));
+  EXPECT_FALSE(recent[0].touched_stage(TraceStage::kScore));
   // Untouched stages contribute nothing to aggregates.
-  EXPECT_EQ(t.stage_stats(TraceStage::kDaatScore).count(), 0u);
+  EXPECT_EQ(t.stage_stats(TraceStage::kScore).count(), 0u);
   EXPECT_EQ(t.stage_stats(TraceStage::kListFetchHdd).count(), 1u);
   EXPECT_DOUBLE_EQ(t.stage_stats(TraceStage::kListFetchHdd).mean(), 8000.0);
   EXPECT_EQ(t.stage_hist(TraceStage::kResultProbe).count(), 1u);
@@ -226,7 +225,7 @@ TEST(TracerTest, RingKeepsNewestOldestFirst) {
   QueryTracer t(/*ring_capacity=*/3);
   for (QueryId q{}; q < QueryId{10}; ++q) {
     t.begin_query(q);
-    t.add_span(TraceStage::kDaatScore, micros(1.0));
+    t.add_span(TraceStage::kScore, micros(1.0));
     t.end_query(micros(1.0));
   }
   EXPECT_EQ(t.queries_traced(), 10u);
@@ -236,33 +235,33 @@ TEST(TracerTest, RingKeepsNewestOldestFirst) {
   EXPECT_EQ(recent[1].query, QueryId{8});
   EXPECT_EQ(recent[2].query, QueryId{9});
   // Aggregates still cover all 10 queries.
-  EXPECT_EQ(t.stage_stats(TraceStage::kDaatScore).count(), 10u);
+  EXPECT_EQ(t.stage_stats(TraceStage::kScore).count(), 10u);
 }
 
 TEST(TracerTest, DisabledRecordsNothing) {
   QueryTracer t;
   t.set_enabled(false);
   t.begin_query(QueryId{1});
-  t.add_span(TraceStage::kDaatScore, micros(5.0));
+  t.add_span(TraceStage::kScore, micros(5.0));
   t.end_query(micros(5.0));
   EXPECT_EQ(t.queries_traced(), 0u);
   EXPECT_TRUE(t.recent().empty());
-  EXPECT_EQ(t.stage_stats(TraceStage::kDaatScore).count(), 0u);
+  EXPECT_EQ(t.stage_stats(TraceStage::kScore).count(), 0u);
 }
 
 TEST(TracerTest, MergeAggregatesFoldsShards) {
   QueryTracer a, b;
   a.begin_query(QueryId{1});
-  a.add_span(TraceStage::kDaatScore, micros(100.0));
+  a.add_span(TraceStage::kScore, micros(100.0));
   a.end_query(micros(100.0));
   b.begin_query(QueryId{2});
-  b.add_span(TraceStage::kDaatScore, micros(300.0));
+  b.add_span(TraceStage::kScore, micros(300.0));
   b.end_query(micros(300.0));
   a.merge_aggregates(b);
   EXPECT_EQ(a.queries_traced(), 2u);
-  EXPECT_EQ(a.stage_stats(TraceStage::kDaatScore).count(), 2u);
-  EXPECT_DOUBLE_EQ(a.stage_stats(TraceStage::kDaatScore).mean(), 200.0);
-  EXPECT_EQ(a.stage_hist(TraceStage::kDaatScore).count(), 2u);
+  EXPECT_EQ(a.stage_stats(TraceStage::kScore).count(), 2u);
+  EXPECT_DOUBLE_EQ(a.stage_stats(TraceStage::kScore).mean(), 200.0);
+  EXPECT_EQ(a.stage_hist(TraceStage::kScore).count(), 2u);
   // Ring buffers are per-shard: merge does not import b's traces.
   EXPECT_EQ(a.recent().size(), 1u);
 }
@@ -286,24 +285,6 @@ TEST(TracerTest, ClearResetsEverything) {
   EXPECT_EQ(t.recent()[0].query, QueryId{9});
 }
 
-TEST(TracerTest, SpanTimerAttributesClockDelta) {
-  QueryTracer t;
-  Micros clock = micros(100.0);
-  t.begin_query(QueryId{1});
-  {
-    SpanTimer span(t, TraceStage::kListFetchSsd, clock);
-    clock += micros(250.0);  // simulated work advances the clock
-  }
-  t.end_query(clock - micros(100.0));
-  const auto recent = t.recent();
-  ASSERT_EQ(recent.size(), 1u);
-  EXPECT_DOUBLE_EQ(
-      recent[0]
-          .stage_us[static_cast<std::size_t>(TraceStage::kListFetchSsd)]
-          .value(),
-      250.0);
-}
-
 TEST(TracerTest, StageNamesAreStableSchema) {
   // scripts/check_bench_json.py hard-codes these names; renaming a stage
   // is a schema change and must update the validator + DESIGN.md §9.
@@ -311,7 +292,7 @@ TEST(TracerTest, StageNamesAreStableSchema) {
   EXPECT_STREQ(to_string(TraceStage::kListFetchMem), "list_fetch_mem");
   EXPECT_STREQ(to_string(TraceStage::kListFetchSsd), "list_fetch_ssd");
   EXPECT_STREQ(to_string(TraceStage::kListFetchHdd), "list_fetch_hdd");
-  EXPECT_STREQ(to_string(TraceStage::kDaatScore), "daat_score");
+  EXPECT_STREQ(to_string(TraceStage::kScore), "score");
   EXPECT_STREQ(to_string(TraceStage::kWriteBufferFlush),
                "write_buffer_flush");
   EXPECT_STREQ(to_string(TraceStage::kFtlGc), "ftl_gc");
@@ -346,7 +327,6 @@ TEST(SystemTelemetryTest, RegistryAgreesWithCacheStats) {
             snap.find("cache.result.probes")->counter);
 }
 
-#if SSDSE_TRACING
 TEST(SystemTelemetryTest, TracerCoversEveryQuery) {
   SearchSystem system(small_system());
   system.run(1'200);
@@ -355,7 +335,7 @@ TEST(SystemTelemetryTest, TracerCoversEveryQuery) {
   // simulated response distribution.
   EXPECT_EQ(system.tracer().stage_stats(TraceStage::kResultProbe).count(),
             1'200u);
-  EXPECT_GT(system.tracer().stage_stats(TraceStage::kDaatScore).count(), 0u);
+  EXPECT_GT(system.tracer().stage_stats(TraceStage::kScore).count(), 0u);
 }
 
 TEST(SystemTelemetryTest, SetTracingFalseStopsRecording) {
@@ -365,7 +345,6 @@ TEST(SystemTelemetryTest, SetTracingFalseStopsRecording) {
   EXPECT_EQ(system.tracer().queries_traced(), 0u);
   EXPECT_EQ(system.metrics().queries(), 500u);  // metrics unaffected
 }
-#endif
 
 TEST(SystemTelemetryTest, RunReportRendersValidSkeleton) {
   SearchSystem system(small_system());

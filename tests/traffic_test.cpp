@@ -485,7 +485,7 @@ TEST(TrafficTest, CoverageBelowFloorBurnsErrorBudget) {
 }
 
 TEST(TrafficTest, CoverageExactlyOnFloorIsGood) {
-  // Boundary convention matches exactly-on-threshold latency (PR 8):
+  // Boundary convention matches exactly-on-threshold latency:
   // coverage landing exactly on the floor meets the SLO; a hair below
   // does not.
   SloSpec spec;
@@ -498,7 +498,7 @@ TEST(TrafficTest, CoverageExactlyOnFloorIsGood) {
                                0.75 - 1e-9));
   // The floor never rescues a slow response.
   EXPECT_FALSE(spec.good_event(60 * kMillisecond, 1.0));
-  // Floor 0 = the PR 8 behavior: coverage is ignored entirely.
+  // Floor 0: coverage is ignored entirely.
   spec.coverage_floor = 0.0;
   EXPECT_TRUE(spec.good_event(1 * kMillisecond, 0.0));
 
