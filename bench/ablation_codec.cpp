@@ -18,14 +18,14 @@ namespace {
 void pruning_cells(const std::string& codec, std::uint64_t queries,
                    Table& t) {
   const DaatWorkload w(queries, codec);
-  const MaterializedIndex& index = *w.index;
+  const DaatIndex& daat = *w.daat;
 
   DaatProcessor oracle(kTopK);
   std::vector<ResultEntry> reference;
   reference.reserve(w.batch.size());
   auto t0 = Clock::now();
   for (const Query& q : w.batch) {
-    reference.push_back(oracle.intersect(index, q));
+    reference.push_back(oracle.intersect(daat, q));
   }
   const double oracle_ms = ms_since(t0);
 
@@ -33,13 +33,13 @@ void pruning_cells(const std::string& codec, std::uint64_t queries,
   bool identical = true;
   t0 = Clock::now();
   for (std::size_t i = 0; i < w.batch.size(); ++i) {
-    const ResultEntry r = pruned.intersect(index, w.batch[i]);
+    const ResultEntry r = pruned.intersect(daat, w.batch[i]);
     identical &= r.docs == reference[i].docs;
   }
   const double pruned_ms = ms_since(t0);
 
   const double encoded_mib =
-      static_cast<double>(index.block_store().encoded_bytes()) / MiB;
+      static_cast<double>(daat.block_store().encoded_bytes()) / MiB;
   t.add_row({codec, "off",
              Table::num(encoded_mib, 1),
              Table::num(1000.0 * static_cast<double>(queries) / oracle_ms, 0),

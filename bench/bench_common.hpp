@@ -60,10 +60,11 @@ inline double ms_since(Clock::time_point t0) {
       .count();
 }
 
-/// The DAAT workload: a 40k-doc materialized corpus (seed 2012) and a
-/// fixed batch from the query log (seed 17). perf_driver's daat phase
-/// pins its fingerprint at 20k queries; codec_pruning and
-/// ablation_codec time the block-max processor on the same queries.
+/// The DAAT workload: a 40k-doc materialized corpus (seed 2012), its
+/// DaatIndex, and a fixed batch from the query log (seed 17).
+/// perf_driver's daat phase pins its fingerprint at 20k queries;
+/// codec_pruning and ablation_codec time the block-max processor on the
+/// same queries.
 struct DaatWorkload {
   explicit DaatWorkload(std::uint64_t queries,
                         const std::string& codec = "raw") {
@@ -71,12 +72,12 @@ struct DaatWorkload {
     cc.num_docs = 40'000;
     cc.vocab_size = 2'000;
     cc.terms_per_doc = 60;
-    cc.max_df_fraction = 0.10;
     cc.seed = 2012;
     cc.codec = codec;
     Rng rng(99);
     corpus = std::make_unique<MaterializedCorpus>(cc, rng);
     index = std::make_unique<MaterializedIndex>(*corpus);
+    daat = std::make_unique<DaatIndex>(*index);
 
     QueryLogConfig qc;
     qc.distinct_queries = 50'000;
@@ -91,6 +92,7 @@ struct DaatWorkload {
 
   std::unique_ptr<MaterializedCorpus> corpus;
   std::unique_ptr<MaterializedIndex> index;
+  std::unique_ptr<DaatIndex> daat;
   std::vector<Query> batch;
 };
 

@@ -43,17 +43,18 @@ struct CompressionResult {
   std::uint64_t blocks = 0;
 };
 
-CompressionResult run_compression(const MaterializedIndex& index) {
+CompressionResult run_compression(const DaatIndex& daat) {
   CompressionResult c;
-  c.raw_bytes = index.raw_posting_bytes();
-  // The index's own store is block-packed (raw corpus codec falls back
-  // to it); encode the stream-vbyte variant side by side.
-  c.packed_bytes = index.block_store().encoded_bytes();
-  c.blocks = index.block_store().total_blocks();
+  const BlockPostingStore& packed = daat.block_store();
+  c.raw_bytes = packed.total_postings() * kPostingBytes;
+  // The DaatIndex's own store is block-packed (raw corpus codec falls
+  // back to it); encode the stream-vbyte variant side by side.
+  c.packed_bytes = packed.encoded_bytes();
+  c.blocks = packed.total_blocks();
   BlockPostingStore svb(CodecKind::kStreamVByte);
-  svb.reserve(index.vocab_size(), index.block_store().total_postings());
-  for (TermId t{}; t < TermId{index.vocab_size()}; ++t) {
-    const DocSortedView v = index.doc_sorted(t);
+  svb.reserve(packed.num_terms(), packed.total_postings());
+  for (TermId t{}; t.raw() < packed.num_terms(); ++t) {
+    const DocSortedView v = daat.doc_sorted(t);
     svb.add_list(v.postings(), v.idf());
   }
   c.svb_bytes = svb.encoded_bytes();
@@ -86,7 +87,7 @@ PruningResult run_pruning(const DaatWorkload& w,
   oracle_results.reserve(w.batch.size());
   auto t0 = Clock::now();
   for (const Query& q : w.batch) {
-    oracle_results.push_back(oracle.intersect(*w.index, q));
+    oracle_results.push_back(oracle.intersect(*w.daat, q));
   }
   p.oracle_wall_ms = ms_since(t0);
   p.oracle_qps =
@@ -103,7 +104,7 @@ PruningResult run_pruning(const DaatWorkload& w,
     const auto before = pruned.pruning().postings_pruned;
     tracer.begin_query(w.batch[i].id);
     DaatStats stats;
-    const ResultEntry r = pruned.intersect(*w.index, w.batch[i], &stats);
+    const ResultEntry r = pruned.intersect(*w.daat, w.batch[i], &stats);
     const auto saved =
         static_cast<Micros>(pruned.pruning().postings_pruned - before);
     tracer.add_span(telemetry::TraceStage::kDaatSkip, saved * 0.008);
@@ -141,7 +142,7 @@ int main() {
   const auto queries = env_count("SSDSE_DAAT_QUERIES", 20'000);
 
   DaatWorkload workload(queries);
-  const CompressionResult c = run_compression(*workload.index);
+  const CompressionResult c = run_compression(*workload.daat);
   std::printf(
       "  compression: raw %.1f MiB -> packed %.1f MiB (%.2fx), "
       "svb %.1f MiB (%.2fx), gate >= %.1fx\n",

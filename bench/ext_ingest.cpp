@@ -232,15 +232,18 @@ bool oracle_probe(ChurnedState& churned, const MaterializedIndex& oracle,
 /// Gate 3: pruned vs exhaustive DAAT directly over the churned index
 /// (pure reads — the system's caches and RNG stream are untouched).
 /// Churn has gone stale on every touched term's stored block maxima;
-/// the pruned path must bypass them and match bit-for-bit.
+/// the pruned path must bypass them and match bit-for-bit. The DaatIndex
+/// is built here, from the index as it stands, so the post-merge probe
+/// reads the merged lists.
 bool pruned_probe(const ChurnedState& churned, std::uint64_t probes,
                   const char* ctx) {
+  const DaatIndex daat(*churned.index);
   DaatProcessor oracle(kTopK);
   MaxScoreDaatProcessor pruned(kTopK);
   for (std::uint64_t r = 0; r < probes; ++r) {
     const Query q = churned.sys->generator().query_for_rank(r);
-    const ResultEntry want = oracle.intersect(*churned.index, q);
-    const ResultEntry got = pruned.intersect(*churned.index, q);
+    const ResultEntry want = oracle.intersect(daat, q);
+    const ResultEntry got = pruned.intersect(daat, q);
     if (got.docs.size() != want.docs.size()) {
       std::fprintf(stderr, "%s: probe %llu size mismatch\n", ctx,
                    static_cast<unsigned long long>(r));

@@ -66,7 +66,7 @@ std::uint64_t daat_loop(const DaatWorkload& w,
   for (const Query& q : w.batch) {
     if constexpr (kTraced) tracer->begin_query(q.id);
     DaatStats stats;
-    const ResultEntry r = daat.intersect(*w.index, q, &stats);
+    const ResultEntry r = daat.intersect(*w.daat, q, &stats);
     checksum = fold_checksum(checksum, stats, r);
     if constexpr (kTraced) {
       tracer->add_span(telemetry::TraceStage::kScore,

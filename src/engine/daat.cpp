@@ -3,8 +3,58 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <stdexcept>
 
 namespace ssdse {
+
+namespace {
+
+/// Smoothed DAAT idf, log(1 + N / (df + 1)).
+double daat_idf(double n_docs, std::size_t df) {
+  return std::log(1.0 + n_docs / (static_cast<double>(df) + 1.0));
+}
+
+CodecKind block_kind(const MaterializedIndex& index) {
+  const CodecKind kind = codec_kind(index.codec_name());
+  return is_block_codec(kind) ? kind : CodecKind::kBlockPacked;
+}
+
+}  // namespace
+
+DaatIndex::DaatIndex(const MaterializedIndex& index)
+    : index_(index),
+      generation_(index.generation()),
+      blocks_(block_kind(index)) {
+  const double n_docs = static_cast<double>(index.base_docs());
+  for (TermId t{}; t.raw() < index.vocab_size(); ++t) {
+    const DocSortedList list(*index.postings(t));
+    const double idf = daat_idf(n_docs, list.size());
+    doc_sorted_.add_list(list.postings(), idf);
+    blocks_.add_list(list.postings(), idf);
+  }
+}
+
+void DaatIndex::check_current() const {
+  if (index_.generation() != generation_) {
+    throw std::logic_error(
+        "DaatIndex: the index merged since this was built; rebuild it");
+  }
+}
+
+bool DaatIndex::live_doc_sorted(TermId t,
+                                std::vector<Posting>& scratch) const {
+  const LiveOverlay* overlay = index_.overlay();
+  if (overlay == nullptr || !overlay->term_dirty(t)) return false;
+  scratch.clear();
+  for (const Posting& p : doc_sorted_.view(t).postings()) {
+    if (!overlay->is_deleted(p.doc)) scratch.push_back(p);
+  }
+  // Live ids are all >= base_docs() and the segment stores them
+  // doc-ascending, so appending preserves doc order.
+  overlay->collect_live(t, scratch);
+  return true;
+}
 
 DocSortedList::DocSortedList(const PostingList& list)
     : DocSortedList(std::vector<Posting>(list.postings().begin(),
@@ -26,9 +76,10 @@ std::size_t DocSortedList::advance(std::size_t from, DocId target) const {
       postings_.begin());
 }
 
-ResultEntry DaatProcessor::intersect(const MaterializedIndex& index,
+ResultEntry DaatProcessor::intersect(const DaatIndex& daat,
                                      const Query& query,
                                      DaatStats* stats) {
+  daat.check_current();
   ResultEntry out;
   out.query = query.id;
   if (query.terms.empty()) return out;
@@ -37,24 +88,23 @@ ResultEntry DaatProcessor::intersect(const MaterializedIndex& index,
   // shortest list drives the loop.
   const std::size_t n = query.terms.size();
   views_.clear();
-  const LiveOverlay* overlay = index.overlay();
+  const LiveOverlay* overlay = daat.index().overlay();
   if (overlay == nullptr || overlay->clean()) {
     // Zero-churn fast path: bit-identical to a build with no overlay.
-    for (TermId t : query.terms) views_.push_back(index.doc_sorted(t));
+    for (TermId t : query.terms) views_.push_back(daat.doc_sorted(t));
   } else {
     // Churn path: dirty terms get their current postings materialized
     // into scratch; clean terms keep their arena slice. Either way the
     // idf is refreshed, since N already counts the live doc slots.
-    const double n_docs = static_cast<double>(index.num_docs());
+    const double n_docs = static_cast<double>(daat.index().num_docs());
     if (scratch_.size() < n) scratch_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       const TermId t = query.terms[i];
       const std::span<const Posting> p =
-          index.live_doc_sorted(t, scratch_[i])
+          daat.live_doc_sorted(t, scratch_[i])
               ? std::span<const Posting>(scratch_[i])
-              : index.doc_sorted(t).postings();
-      views_.emplace_back(
-          p, std::log(1.0 + n_docs / (static_cast<double>(p.size()) + 1.0)));
+              : daat.doc_sorted(t).postings();
+      views_.emplace_back(p, daat_idf(n_docs, p.size()));
     }
   }
   order_.resize(n);
@@ -177,9 +227,10 @@ std::uint32_t MaxScoreDaatProcessor::advance(Cursor& c, std::uint32_t from,
   return tb * kBlockPostings + rel;
 }
 
-ResultEntry MaxScoreDaatProcessor::intersect(const MaterializedIndex& index,
+ResultEntry MaxScoreDaatProcessor::intersect(const DaatIndex& daat,
                                              const Query& query,
                                              DaatStats* stats) {
+  daat.check_current();
   ResultEntry out;
   out.query = query.id;
   if (query.terms.empty()) return out;
@@ -187,9 +238,9 @@ ResultEntry MaxScoreDaatProcessor::intersect(const MaterializedIndex& index,
   const std::size_t n = query.terms.size();
   if (cursors_.size() < n) cursors_.resize(n);
   if (block_buf_.size() < n) block_buf_.resize(n);
-  const LiveOverlay* overlay = index.overlay();
+  const LiveOverlay* overlay = daat.index().overlay();
   const bool churned = overlay != nullptr && !overlay->clean();
-  const double n_docs = static_cast<double>(index.num_docs());
+  const double n_docs = static_cast<double>(daat.index().num_docs());
   if (churned && scratch_.size() < n) scratch_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const TermId t = query.terms[i];
@@ -199,7 +250,7 @@ ResultEntry MaxScoreDaatProcessor::intersect(const MaterializedIndex& index,
     c.decoded = kNoBlock;
     c.shallow = 0;
     c.buf = block_buf_[i].data();
-    if (churned && index.live_doc_sorted(t, scratch_[i])) {
+    if (churned && daat.live_doc_sorted(t, scratch_[i])) {
       // Dirty term: its stored blocks (and their max weights) no longer
       // describe the current postings — bypass them entirely. The
       // re-materialized list gets an exact max weight computed here, so
@@ -208,22 +259,19 @@ ResultEntry MaxScoreDaatProcessor::intersect(const MaterializedIndex& index,
       c.view = BlockPostingView();
       c.flat = s.data();
       c.size = static_cast<std::uint32_t>(s.size());
-      c.idf =
-          std::log(1.0 + n_docs / (static_cast<double>(s.size()) + 1.0));
+      c.idf = daat_idf(n_docs, s.size());
       c.flat_max = 0.0;
       for (const Posting& p : s) {
         c.flat_max = std::max(c.flat_max, std::log(1.0 + p.tf));
       }
     } else {
-      c.view = index.block_postings(t);
+      c.view = daat.block_postings(t);
       c.flat = nullptr;
       c.size = c.view.size();
       // Clean term under churn: postings unchanged, but N counts the
       // live doc slots now — recompute the idf exactly as the oracle
       // does. (Zero churn: the stored idf IS this expression.)
-      c.idf = churned ? std::log(1.0 + n_docs /
-                                           (static_cast<double>(c.size) + 1.0))
-                      : c.view.idf();
+      c.idf = churned ? daat_idf(n_docs, c.size) : c.view.idf();
       c.flat_max = 0.0;
     }
   }
@@ -332,9 +380,10 @@ ResultEntry MaxScoreDaatProcessor::intersect(const MaterializedIndex& index,
   return out;
 }
 
-ResultEntry NaiveDaatProcessor::intersect(const MaterializedIndex& index,
+ResultEntry NaiveDaatProcessor::intersect(const DaatIndex& daat,
                                           const Query& query,
                                           DaatStats* stats) const {
+  daat.check_current();
   ResultEntry out;
   out.query = query.id;
   if (query.terms.empty()) return out;
@@ -343,22 +392,21 @@ ResultEntry NaiveDaatProcessor::intersect(const MaterializedIndex& index,
   // num_docs() and live_doc_sorted() are overlay-aware, so the naive
   // processor scores the churned index the way a rebuilt one would —
   // the equivalence suite leans on that under ingestion.
+  const MaterializedIndex& index = daat.index();
   std::vector<DocSortedList> lists;
   lists.reserve(query.terms.size());
   std::vector<double> idf;
   const double n_docs = static_cast<double>(index.num_docs());
   std::vector<Posting> live;
   for (TermId t : query.terms) {
-    if (index.live_doc_sorted(t, live)) {
-      idf.push_back(
-          std::log(1.0 + n_docs / (static_cast<double>(live.size()) + 1.0)));
+    if (daat.live_doc_sorted(t, live)) {
+      idf.push_back(daat_idf(n_docs, live.size()));
       lists.emplace_back(std::move(live));
       live.clear();
     } else {
       const PostingList* pl = index.postings(t);
       lists.emplace_back(*pl);
-      idf.push_back(
-          std::log(1.0 + n_docs / (static_cast<double>(pl->size()) + 1.0)));
+      idf.push_back(daat_idf(n_docs, pl->size()));
     }
   }
   std::vector<std::size_t> order(lists.size());

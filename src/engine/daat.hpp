@@ -5,7 +5,8 @@
 // the paper's "skipped reads" (§III) are modelled in simulated time by
 // CacheManager, not here.
 //
-// Three processors share the algorithm (DESIGN.md §8, §13):
+// Three processors share the algorithm (DESIGN.md §8, §13), all over a
+// DaatIndex, the engine's own doc-ordered and block postings:
 //  * DaatProcessor — the exhaustive hot path: consumes the index's
 //    precomputed DocSortedViews (zero per-query copy/sort/allocation,
 //    scratch buffers reused across queries, bounded-heap top-K); also
@@ -29,12 +30,47 @@
 #include "src/engine/result.hpp"
 #include "src/engine/top_k.hpp"
 #include "src/index/block_postings.hpp"
+#include "src/index/doc_sorted.hpp"
 #include "src/index/inverted_index.hpp"
 
 namespace ssdse {
 
+/// The DAAT engine's postings for one MaterializedIndex: each list
+/// sorted by doc into an arena and encoded as blocks (the corpus codec
+/// if it is a block codec, else block-packed), idfs over base_docs().
+/// Churn is read through the index's overlay. A merge rewrites the
+/// index's lists, so the processors throw std::logic_error on a
+/// DaatIndex built before it: rebuild after a merge. The index must
+/// outlive the DaatIndex.
+class DaatIndex {
+ public:
+  explicit DaatIndex(const MaterializedIndex& index);
+
+  [[nodiscard]] const MaterializedIndex& index() const { return index_; }
+  DocSortedView doc_sorted(TermId t) const { return doc_sorted_.view(t); }
+  BlockPostingView block_postings(TermId t) const { return blocks_.view(t); }
+  [[nodiscard]] const BlockPostingStore& block_store() const {
+    return blocks_;
+  }
+
+  /// Throws std::logic_error if the index merged after this was built.
+  void check_current() const;
+
+  /// Materialize a churned term's current doc-sorted postings into
+  /// `scratch`: its arena slice minus tombstones, then its live postings
+  /// (doc-ascending by the monotone-id invariant). Returns false,
+  /// leaving `scratch` untouched, when the term is clean.
+  bool live_doc_sorted(TermId t, std::vector<Posting>& scratch) const;
+
+ private:
+  const MaterializedIndex& index_;
+  std::uint64_t generation_;   // index generation the stores reflect
+  DocSortedStore doc_sorted_;  // doc-ordered projections
+  BlockPostingStore blocks_;   // compressed blocks + skip/max metadata
+};
+
 /// Doc-id-sorted projection of a posting list. Owns a per-query copy;
-/// the hot path uses the index's precomputed DocSortedView instead.
+/// the hot path uses the DaatIndex's precomputed DocSortedView instead.
 class DocSortedList {
  public:
   DocSortedList() = default;
@@ -73,8 +109,7 @@ class DaatProcessor {
  public:
   explicit DaatProcessor(std::size_t top_k = kTopK) : top_k_(top_k) {}
 
-  /// Requires a materialized index (real postings).
-  ResultEntry intersect(const MaterializedIndex& index, const Query& query,
+  ResultEntry intersect(const DaatIndex& daat, const Query& query,
                         DaatStats* stats = nullptr);
 
  private:
@@ -116,11 +151,10 @@ class MaxScoreDaatProcessor {
   explicit MaxScoreDaatProcessor(std::size_t top_k = kTopK)
       : top_k_(top_k) {}
 
-  /// Requires a materialized index (compressed blocks are built with
-  /// it). Overlay-aware: dirty terms bypass their stale blocks and are
+  /// Overlay-aware: dirty terms bypass their stale blocks and are
   /// re-materialized into scratch with an exact, freshly computed max
   /// weight, so pruning stays safe under churn.
-  ResultEntry intersect(const MaterializedIndex& index, const Query& query,
+  ResultEntry intersect(const DaatIndex& daat, const Query& query,
                         DaatStats* stats = nullptr);
 
   [[nodiscard]] const PruningStats& pruning() const { return pruning_; }
@@ -165,7 +199,7 @@ class NaiveDaatProcessor {
   explicit NaiveDaatProcessor(std::size_t top_k = kTopK)
       : top_k_(top_k) {}
 
-  ResultEntry intersect(const MaterializedIndex& index, const Query& query,
+  ResultEntry intersect(const DaatIndex& daat, const Query& query,
                         DaatStats* stats = nullptr) const;
 
  private:

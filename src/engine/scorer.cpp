@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "src/engine/top_k.hpp"
@@ -36,8 +36,8 @@ ScoreOutcome Scorer::score_materialized(MaterializedIndex& index,
   out.terms.reserve(query.terms.size());
   std::unordered_map<DocId, float> acc;
 
-  // Live-index churn: dirty terms fold their overlay postings into a
-  // local frequency-sorted list, and every term's idf is recomputed
+  // Live-index churn: dirty terms read their current postings, merged
+  // in rank order by the index, and every term's idf is recomputed
   // against the current N (the stored TermMeta::idf predates the live
   // doc slots). With a clean (or absent) overlay this block is inert
   // and the function is bit-identical to the read-only build.
@@ -45,14 +45,10 @@ ScoreOutcome Scorer::score_materialized(MaterializedIndex& index,
   const bool churned = overlay != nullptr && !overlay->clean();
   const double n_docs =
       churned ? static_cast<double>(index.num_docs()) : 0.0;
-  std::vector<Posting> live;
+  std::vector<Posting> scratch;
 
   for (TermId t : query.terms) {
-    std::optional<PostingList> live_list;
-    if (churned && index.live_doc_sorted(t, live)) {
-      live_list.emplace(live);  // re-sorts (tf desc, doc asc)
-    }
-    const PostingList& list = live_list ? *live_list : *index.postings(t);
+    const std::span<const Posting> list = index.current_postings(t, scratch);
     TermScoreInfo info{t, 0, 1.0};
     if (!list.empty()) {
       // idf precomputed at index build (TermMeta::idf) — no per-query

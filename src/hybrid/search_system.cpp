@@ -294,27 +294,6 @@ void SearchSystem::register_telemetry() {
                       .build_wall_ms());
   }
 
-  // Compressed posting-block accounting (DESIGN.md §13). Gauges, not
-  // frozen values: a live-index merge rebuilds the blocks and moves the
-  // encoded size.
-  if (const auto* mat = dynamic_cast<const MaterializedIndex*>(index_)) {
-    r.gauge("index.codec.raw_bytes", [mat] {
-      return static_cast<double>(mat->raw_posting_bytes());
-    });
-    r.gauge("index.codec.encoded_bytes", [mat] {
-      return static_cast<double>(mat->block_store().encoded_bytes());
-    });
-    r.gauge("index.codec.ratio", [mat] {
-      const auto enc = mat->block_store().encoded_bytes();
-      return enc == 0 ? 0.0
-                      : static_cast<double>(mat->raw_posting_bytes()) /
-                            static_cast<double>(enc);
-    });
-    r.gauge("index.codec.blocks", [mat] {
-      return static_cast<double>(mat->block_store().total_blocks());
-    });
-  }
-
   // Sampling loss across every device's I/O trace collector: records
   // counted but not stored once a capacity cap is hit. Zero unless a
   // bench enables collectors and caps them.

@@ -263,16 +263,21 @@ double GroupVarintCodec::bytes_per_posting(std::uint64_t df,
 
 namespace {
 
+void append_blocks(CodecKind kind, std::span<const Posting> postings,
+                   std::vector<std::uint8_t>& out) {
+  for (std::size_t i = 0; i < postings.size(); i += kBlockPostings) {
+    const std::size_t m =
+        std::min<std::size_t>(kBlockPostings, postings.size() - i);
+    blockfmt::encode_block(kind, postings.subspan(i, m), out);
+  }
+}
+
 template <CodecKind kKind>
 std::vector<std::uint8_t> block_encode(std::span<const Posting> postings) {
   std::vector<std::uint8_t> out;
   out.reserve(2 + postings.size() * 2);
   put_varint(out, postings.size());
-  for (std::size_t i = 0; i < postings.size(); i += kBlockPostings) {
-    const std::size_t m =
-        std::min<std::size_t>(kBlockPostings, postings.size() - i);
-    blockfmt::encode_block(kKind, postings.subspan(i, m), out);
-  }
+  append_blocks(kKind, postings, out);
   return out;
 }
 
@@ -291,6 +296,12 @@ std::vector<Posting> block_decode(std::span<const std::uint8_t> bytes) {
 }
 
 }  // namespace
+
+Bytes block_slice_bytes(CodecKind kind, std::span<const Posting> postings) {
+  std::vector<std::uint8_t> scratch;
+  append_blocks(kind, postings, scratch);
+  return scratch.size();
+}
 
 std::vector<std::uint8_t> BlockPackedCodec::encode(
     std::span<const Posting> postings) const {

@@ -22,9 +22,12 @@ struct CorpusConfig {
   std::uint32_t vocab_size = 1'000'000;
   /// Zipf exponent of term document-frequency over term rank.
   double df_zipf = 1.05;
-  /// Stopword pruning: no indexed term appears in more than this
-  /// fraction of documents. Calibrated to the paper's Fig. 3b, whose
-  /// largest inverted list is ~800 KB on 5M documents (~2 % df).
+  /// Stopword pruning in the analytic model (TermStatsModel): it caps
+  /// every term's df at this fraction of the documents. Calibrated to
+  /// the paper's Fig. 3b, whose largest inverted list is ~800 KB on 5M
+  /// documents (~2 % df). MaterializedCorpus ignores it: its documents
+  /// sample terms from the Zipf law uncapped, so head terms can appear
+  /// in nearly every document.
   double max_df_fraction = 0.02;
   /// Mean distinct terms per document (drives total postings).
   double terms_per_doc = 180;

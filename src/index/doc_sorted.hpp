@@ -1,13 +1,13 @@
 // Precomputed doc-sorted index views (DESIGN.md §8).
 //
 // The DAAT engine needs doc-id-ordered postings; the seed rebuilt them
-// per query (copy + sort of every touched list). This store builds them
-// ONCE at index-construction time into one immutable index-wide arena,
-// so a query borrows `DocSortedView`s (a span plus the idf, 24 bytes)
-// with zero allocation and zero sorting on the hot path. Cursors move by
-// galloping from their position (src/index/gallop.hpp), so the arena
-// carries no skip table. Cf. Pibiri & Venturini: postings belong in
-// contiguous, build-once form.
+// per query (copy + sort of every touched list). This store holds them
+// in one immutable index-wide arena, built once per DaatIndex (see
+// src/engine/daat.hpp), so a query borrows `DocSortedView`s (a span
+// plus the idf, 24 bytes) with zero allocation and zero sorting on the
+// hot path. Cursors move by galloping from their position
+// (src/index/gallop.hpp), so the arena carries no skip table. Cf.
+// Pibiri & Venturini: postings belong in contiguous, build-once form.
 #pragma once
 
 #include <cstdint>
@@ -51,10 +51,8 @@ class DocSortedView {
 /// view never touches more than its own cache lines.
 class DocSortedStore {
  public:
-  void reserve(std::size_t num_terms, std::size_t total_postings);
-
-  /// Append term `num_terms()`'s list. `doc_sorted` must be doc-id
-  /// ascending (the materialized corpus emits postings in doc order).
+  /// Append the next term's list (terms go in id order). `doc_sorted`
+  /// must be doc-id ascending.
   void add_list(std::span<const Posting> doc_sorted, double idf);
 
   DocSortedView view(TermId t) const {
@@ -62,10 +60,6 @@ class DocSortedStore {
     return DocSortedView({postings_.data() + p0, posting_off_[t + 1] - p0},
                          idf_[t]);
   }
-
-  [[nodiscard]] std::size_t num_terms() const { return idf_.size(); }
-  [[nodiscard]] TermId end_term() const { return idf_.end_id(); }
-  [[nodiscard]] std::size_t total_postings() const { return postings_.size(); }
 
  private:
   std::vector<Posting> postings_;        // arena: all terms, doc-ascending

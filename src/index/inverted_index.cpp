@@ -14,6 +14,29 @@ IndexLayout layout_from_sizes(std::vector<Bytes> sizes) {
   return IndexLayout(sizes);
 }
 
+/// TermMeta::list_bytes of a frequency-sorted list, at least 1. The
+/// classic codecs encode the list as it is. A block codec stores it in
+/// doc order; the list is one doc-ascending run per tf, so merging the
+/// runs in turn (into `by_doc`) restores that order without a sort.
+Bytes list_bytes(CodecKind kind, const PostingCodec& codec,
+                 std::span<const Posting> ranked,
+                 std::vector<Posting>& by_doc) {
+  if (ranked.empty()) return 1;
+  if (!is_block_codec(kind)) {
+    return std::max<Bytes>(codec.encoded_bytes(ranked), 1);
+  }
+  by_doc.assign(ranked.begin(), ranked.end());
+  for (auto run = by_doc.begin(); run != by_doc.end();) {
+    const auto next = std::partition_point(
+        run, by_doc.end(), [&](const Posting& p) { return p.tf == run->tf; });
+    std::inplace_merge(
+        by_doc.begin(), run, next,
+        [](const Posting& a, const Posting& b) { return a.doc < b.doc; });
+    run = next;
+  }
+  return std::max<Bytes>(block_slice_bytes(kind, by_doc), 1);
+}
+
 }  // namespace
 
 AnalyticIndex::AnalyticIndex(const CorpusConfig& cfg) : model_(cfg) {
@@ -46,58 +69,23 @@ MaterializedIndex::MaterializedIndex(const MaterializedCorpus& corpus)
       raw[term].push_back(Posting{d, tf});
     }
   }
-  const CodecKind kind = codec_kind(corpus.config().codec);
-  const auto codec = make_codec(corpus.config().codec);
+  const CodecKind kind = codec_kind(codec_name_);
+  const auto codec = make_codec(codec_name_);
   lists_.reserve(raw.size());
   metas_.reserve(raw.size());
   std::vector<Bytes> sizes;
   sizes.reserve(raw.size());
-  std::size_t total_postings = 0;
-  for (const auto& postings : raw) total_postings += postings.size();
-  doc_sorted_.reserve(raw.size(), total_postings);
-  // The block store always exists (the block-max DAAT path needs it);
-  // when the corpus codec itself is a block codec it doubles as the
-  // on-disk size authority, so meta.list_bytes charges the slice's
-  // actual encoded bytes.
-  blocks_ = BlockPostingStore(is_block_codec(kind) ? kind
-                                                   : CodecKind::kBlockPacked);
-  blocks_.reserve(raw.size(), total_postings);
   const double n_docs = static_cast<double>(num_docs_);
+  std::vector<Posting> by_doc;
   for (auto& postings : raw) {
-    // The corpus emits postings in ascending doc order, so the raw list
-    // *is* the doc-sorted projection: snapshot it into the arena before
-    // PostingList re-sorts by descending tf.
-    const double daat_idf = std::log(
-        1.0 + n_docs / (static_cast<double>(postings.size()) + 1.0));
-    const bool sorted = std::is_sorted(
-        postings.begin(), postings.end(),
-        [](const Posting& a, const Posting& b) { return a.doc < b.doc; });
-    if (sorted) {
-      doc_sorted_.add_list(postings, daat_idf);
-      blocks_.add_list(postings, daat_idf);
-    } else {  // future-proofing: corpora built from unordered sources
-      std::vector<Posting> by_doc(postings);
-      std::sort(by_doc.begin(), by_doc.end(),
-                [](const Posting& a, const Posting& b) {
-                  return a.doc < b.doc;
-                });
-      doc_sorted_.add_list(by_doc, daat_idf);
-      blocks_.add_list(by_doc, daat_idf);
-    }
+    const PostingList& list = lists_.emplace_back(std::move(postings));
     const double scoring_idf =
-        postings.empty()
+        list.empty()
             ? 0.0
-            : std::log(1.0 + n_docs / static_cast<double>(postings.size()));
-    lists_.emplace_back(std::move(postings));
-    const Bytes encoded =
-        lists_.back().empty()
-            ? 0
-            : (is_block_codec(kind)
-                   ? blocks_.term_bytes(TermId{static_cast<std::uint32_t>(blocks_.num_terms() - 1)})
-                   : codec->encoded_bytes(lists_.back().postings()));
-    metas_.push_back(TermMeta{lists_.back().size(),
-                              std::max<Bytes>(encoded, 1),
-                              /*utilization=*/1.0, scoring_idf});
+            : std::log(1.0 + n_docs / static_cast<double>(list.size()));
+    metas_.push_back(
+        TermMeta{list.size(), list_bytes(kind, *codec, list.postings(), by_doc),
+                 /*utilization=*/1.0, scoring_idf});
     sizes.push_back(metas_.back().list_bytes);
   }
   layout_ = layout_from_sizes(std::move(sizes));
@@ -113,82 +101,48 @@ TermMeta MaterializedIndex::term_meta(TermId t) const {
   return metas_[t];
 }
 
-bool MaterializedIndex::live_doc_sorted(TermId t,
-                                        std::vector<Posting>& scratch) const {
-  if (overlay_ == nullptr || !overlay_->term_dirty(t)) return false;
+std::span<const Posting> MaterializedIndex::current_postings(
+    TermId t, std::vector<Posting>& scratch) const {
   if (!lists_.contains(t)) {
     throw std::out_of_range("MaterializedIndex: term id out of range");
   }
+  const std::span<const Posting> stored = lists_[t].postings();
+  if (overlay_ == nullptr || !overlay_->term_dirty(t)) return stored;
   scratch.clear();
-  const DocSortedView v = doc_sorted_.view(t);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (!overlay_->is_deleted(v[i].doc)) scratch.push_back(v[i]);
+  for (const Posting& p : stored) {
+    if (!overlay_->is_deleted(p.doc)) scratch.push_back(p);
   }
-  // Live ids are all >= base_docs() and the segment stores them
-  // doc-ascending, so appending preserves doc order.
+  // The survivors are still in rank order; ranking the live postings
+  // the same way lets one merge stand in for a full re-sort.
+  const auto survivors = static_cast<std::ptrdiff_t>(scratch.size());
   overlay_->collect_live(t, scratch);
-  return true;
+  std::sort(scratch.begin() + survivors, scratch.end(), by_rank);
+  std::inplace_merge(scratch.begin(), scratch.begin() + survivors,
+                     scratch.end(), by_rank);
+  return scratch;
 }
 
 void MaterializedIndex::rebuild_lists(
     std::uint64_t new_num_docs,
-    const std::vector<std::pair<TermId, std::vector<Posting>>>&
-        replacements) {
+    std::vector<std::pair<TermId, std::vector<Posting>>> replacements) {
   const double n_docs = static_cast<double>(new_num_docs);
-  const std::size_t vocab = lists_.size();
-  std::size_t total = doc_sorted_.total_postings();
-  for (const auto& [t, repl] : replacements) {
-    total += repl.size();
-    total -= doc_sorted_.view(t).size();
-  }
-  // Rebuild the doc-sorted arenas wholesale: slices are contiguous and
-  // index-ordered, so a churned term in the middle cannot be patched in
-  // place. The frequency-sorted lists and metas are per-term and ARE
-  // patched in place — metas_ never reallocates, keeping the registered
-  // meta table valid.
-  DocSortedStore fresh;
-  fresh.reserve(vocab, total);
-  // The block store is rebuilt in the same pass, straight from the
-  // replacement spans / arena slices — compressed blocks (and their
-  // skip + block-max metadata) come out of the merge directly, with no
-  // uncompressed intermediate arena. Stale block-max entries cannot
-  // survive: a churned term's metadata is recomputed from its new
-  // postings here, and until the merge lands the block-max scorer
-  // bypasses dirty terms entirely (their blocks are no longer exact).
-  BlockPostingStore fresh_blocks(blocks_.kind());
-  fresh_blocks.reserve(vocab, total);
   const CodecKind kind = codec_kind(codec_name_);
   const auto codec = make_codec(codec_name_);
-  std::vector<Bytes> sizes(vocab);
-  std::size_t r = 0;
-  for (TermId t{}; t.raw() < vocab; ++t) {
-    if (r < replacements.size() && replacements[r].first == t) {
-      const std::vector<Posting>& repl = replacements[r].second;
-      ++r;
-      const double daat_idf = std::log(
-          1.0 + n_docs / (static_cast<double>(repl.size()) + 1.0));
-      fresh.add_list(repl, daat_idf);
-      fresh_blocks.add_list(repl, daat_idf);
-      lists_[t] = PostingList(repl);
-      const Bytes encoded =
-          lists_[t].empty()
-              ? 0
-              : (is_block_codec(kind)
-                     ? fresh_blocks.term_bytes(t)
-                     : codec->encoded_bytes(lists_[t].postings()));
-      metas_[t].df = lists_[t].size();
-      metas_[t].list_bytes = std::max<Bytes>(encoded, 1);
-      metas_[t].utilization = 1.0;
-      pu_mean_[t] = 1.0f;
-      pu_samples_[t] = 0;
-    } else {
-      const DocSortedView v = doc_sorted_.view(t);
-      const double daat_idf = std::log(
-          1.0 + n_docs / (static_cast<double>(v.size()) + 1.0));
-      fresh.add_list(v.postings(), daat_idf);
-      fresh_blocks.add_list(v.postings(), daat_idf);
-    }
-    // N changed for everyone: refresh the scoring idf of every term.
+  // Lists and metas are patched in place: metas_ never reallocates,
+  // keeping the registered meta table valid.
+  std::vector<Posting> by_doc;
+  for (auto& [t, postings] : replacements) {
+    lists_[t] = PostingList(std::move(postings));  // in order: no sort
+    metas_[t].df = lists_[t].size();
+    metas_[t].list_bytes =
+        list_bytes(kind, *codec, lists_[t].postings(), by_doc);
+    metas_[t].utilization = 1.0;
+    pu_mean_[t] = 1.0f;
+    pu_samples_[t] = 0;
+  }
+  // N changed for everyone: refresh the scoring idf of every term.
+  std::vector<Bytes> sizes(lists_.size());
+  for (TermId t{}; t.raw() < lists_.size(); ++t) {
     metas_[t].idf =
         metas_[t].df == 0
             ? 0.0
@@ -196,8 +150,7 @@ void MaterializedIndex::rebuild_lists(
     sizes[t.raw()] = metas_[t].list_bytes;
   }
   num_docs_ = new_num_docs;
-  doc_sorted_ = std::move(fresh);
-  blocks_ = std::move(fresh_blocks);
+  ++generation_;
   layout_ = layout_from_sizes(std::move(sizes));
 }
 

@@ -11,14 +11,13 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/index/block_postings.hpp"
 #include "src/index/corpus.hpp"
-#include "src/index/doc_sorted.hpp"
 #include "src/index/layout.hpp"
 #include "src/index/live_view.hpp"
 #include "src/index/posting.hpp"
@@ -100,13 +99,13 @@ class MaterializedIndex final : public IndexView {
   /// (actual encoded bytes, not a model).
   explicit MaterializedIndex(const MaterializedCorpus& corpus);
 
-  /// Total document slots: base arena docs plus live-segment slots. The
+  /// Total document slots: base docs plus live-segment slots. The
   /// overlay keeps deleted docs' slots (empty bags), so N here matches a
   /// rebuild-from-scratch oracle at every point in the churn timeline.
   [[nodiscard]] std::uint64_t num_docs() const override {
     return num_docs_ + (overlay_ != nullptr ? overlay_->live_doc_slots() : 0);
   }
-  /// Docs materialized into the arenas (excludes the live segment).
+  /// Docs materialized into the stored lists (excludes the live segment).
   [[nodiscard]] std::uint64_t base_docs() const { return num_docs_; }
   [[nodiscard]] std::uint32_t vocab_size() const override {
     return static_cast<std::uint32_t>(lists_.size());
@@ -115,24 +114,11 @@ class MaterializedIndex final : public IndexView {
   [[nodiscard]] const IndexLayout& layout() const override { return layout_; }
   const PostingList* postings(TermId t) const override { return &lists_[t]; }
 
-  /// Borrow the precomputed doc-sorted projection of a term's list
-  /// (immutable arena slice; no copy, no sort — DESIGN.md §8).
-  DocSortedView doc_sorted(TermId t) const { return doc_sorted_.view(t); }
-  [[nodiscard]] const DocSortedStore& doc_sorted_store() const { return doc_sorted_; }
-
-  /// Borrow the compressed posting blocks of a term (skip + block-max
-  /// metadata included — DESIGN.md §13). Built once per index, rebuilt
-  /// on merge; the block codec follows the corpus codec when that is a
-  /// block codec, otherwise defaults to block-packed.
-  BlockPostingView block_postings(TermId t) const { return blocks_.view(t); }
-  [[nodiscard]] const BlockPostingStore& block_store() const { return blocks_; }
-
-  /// Uncompressed footprint of the doc-sorted arena (8 B/posting); the
-  /// numerator of the `index.codec.ratio` telemetry gauge whose
-  /// denominator is block_store().encoded_bytes().
-  [[nodiscard]] Bytes raw_posting_bytes() const {
-    return doc_sorted_.total_postings() * kPostingBytes;
-  }
+  /// Corpus codec name: it sizes every list (TermMeta::list_bytes).
+  [[nodiscard]] const std::string& codec_name() const { return codec_name_; }
+  /// Merges folded in so far (rebuild_lists calls). Views built from
+  /// the stored lists compare it to know they are still current.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   /// Called by the scorer after processing a list; keeps a running mean
   /// utilization per term (the paper's "computing during the process of
@@ -144,32 +130,32 @@ class MaterializedIndex final : public IndexView {
   void attach_overlay(const LiveOverlay* overlay) { overlay_ = overlay; }
   [[nodiscard]] const LiveOverlay* overlay() const { return overlay_; }
 
-  /// Materialize the *current* doc-sorted postings of a churned term
-  /// into `scratch`: arena postings minus tombstones, plus live-segment
-  /// postings (doc-ascending by the monotone-id invariant). Returns
-  /// false — leaving `scratch` untouched — when the term is clean, in
-  /// which case doc_sorted(t) is already exact.
-  bool live_doc_sorted(TermId t, std::vector<Posting>& scratch) const;
+  /// Term t's current postings in PostingList order (tf desc, doc asc).
+  /// A clean term's are its stored list. A churned term's are the
+  /// stored list minus tombstones merged with its live postings, which
+  /// are the only ones sorted; they are materialized into `scratch`.
+  /// The span lives until `scratch` is reused or the index merges.
+  std::span<const Posting> current_postings(
+      TermId t, std::vector<Posting>& scratch) const;
 
   /// Fold a merge into the materialized state: `replacements` holds the
-  /// full new doc-sorted postings for every churned term (TermId
-  /// ascending); every other term keeps its postings. All arenas, block
-  /// metadata, frequency-sorted lists, metas (df, encoded bytes, idf)
-  /// and the layout are rebuilt so the result is bit-identical to an index
-  /// constructed from the equivalent corpus with `new_num_docs` docs.
+  /// current postings (as current_postings returns them) of every
+  /// churned term, TermId ascending. Installs those lists as they are,
+  /// refreshes their metas (df, encoded bytes) and every term's idf for
+  /// `new_num_docs`, and rebuilds the layout, so the result is
+  /// bit-identical to an index constructed from the equivalent corpus.
   /// Rebuilt terms restart PU tracking at the optimistic 1.0 default.
   void rebuild_lists(
       std::uint64_t new_num_docs,
-      const std::vector<std::pair<TermId, std::vector<Posting>>>& replacements);
+      std::vector<std::pair<TermId, std::vector<Posting>>> replacements);
 
  private:
   std::uint64_t num_docs_;
   std::string codec_name_;  // kept for merge-time re-encoding
+  std::uint64_t generation_ = 0;
   const LiveOverlay* overlay_ = nullptr;
   IdVector<TermId, PostingList> lists_;
   IndexLayout layout_;
-  DocSortedStore doc_sorted_;  // build-once doc-ordered projections
-  BlockPostingStore blocks_;   // compressed blocks + skip/max metadata
   // Contiguous TermMeta table (df, encoded bytes, running-mean PU, idf)
   // backing term_meta_fast(); record_utilization keeps the utilization
   // field in step with pu_mean_.

@@ -7,7 +7,7 @@
 // id is the current total slot count), deleted documents keep their slot
 // (exactly like a rebuilt-from-scratch corpus keeps an empty bag at the
 // deleted id), so
-//   * base arena postings and live postings concatenate in doc order;
+//   * base postings and live postings concatenate in doc order;
 //   * N (num_docs) and every effective df match the rebuild oracle both
 //     before and after a merge.
 // A clean overlay (no operation since the last merge) must be

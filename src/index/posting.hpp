@@ -26,11 +26,19 @@ struct Posting {
 /// compressed) — used consistently by the layout and the caches.
 constexpr Bytes kPostingBytes = 8;
 
+/// The order of a PostingList: descending tf, ties by ascending doc id.
+/// Total over postings of distinct docs, so any two ways of producing
+/// it (a sort, a merge) agree element for element.
+inline constexpr auto by_rank = [](const Posting& a, const Posting& b) {
+  if (a.tf != b.tf) return a.tf > b.tf;
+  return a.doc < b.doc;
+};
+
 class PostingList {
  public:
   PostingList() = default;
   /// Takes postings in any order; sorts by descending tf (ties by doc id
-  /// ascending).
+  /// ascending) unless they already are in that order.
   explicit PostingList(std::vector<Posting> postings);
 
   [[nodiscard]] std::size_t size() const { return postings_.size(); }
@@ -38,14 +46,6 @@ class PostingList {
   [[nodiscard]] Bytes bytes() const { return size() * kPostingBytes; }
   [[nodiscard]] std::span<const Posting> postings() const { return postings_; }
   const Posting& operator[](std::size_t i) const { return postings_[i]; }
-
-  /// Prefix holding the `fraction` highest-tf postings (>= 1 posting for
-  /// a non-empty list and fraction > 0).
-  std::span<const Posting> prefix(double fraction) const;
-
-  /// First index whose tf < threshold (the early-termination frontier);
-  /// postings_ is tf-descending so this is a binary search.
-  std::size_t frontier(std::uint32_t tf_threshold) const;
 
  private:
   std::vector<Posting> postings_;

@@ -5,7 +5,7 @@
 //
 // Warm restart replays the longest consistent prefix in order; because
 // every live-index mutation is deterministic given the record stream,
-// replay reconverges the segment, tombstones and merged arenas to the
+// replay reconverges the segment, tombstones and merged lists to the
 // exact pre-crash state (bit-identical query results). The writer shares
 // recovery::JournalWriter, so the crash injector can tear an append at
 // any byte.

@@ -1,6 +1,7 @@
 #include "src/ingest/live_index.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace ssdse::ingest {
 
@@ -10,7 +11,7 @@ LiveIndex::LiveIndex(MaterializedIndex& index,
     : index_(index),
       corpus_(corpus),
       cfg_(cfg),
-      segment_(index.vocab_size(), cfg.segment_block_postings),
+      segment_(index.vocab_size(), cfg.segment_block_size),
       base0_(corpus.num_docs()),
       deleted_df_(index.vocab_size(), 0) {}
 
@@ -36,7 +37,7 @@ bool LiveIndex::erase(DocId d, std::vector<TermId>* affected_terms) {
     (void)tf;
     // Marks the term dirty even when its tombstoned postings still sit
     // in the segment (harmless: term_dirty was already true) — what
-    // matters is covering postings already merged into the arenas.
+    // matters is covering postings already merged into the base lists.
     ++deleted_df_[term];
     if (affected_terms != nullptr) affected_terms->push_back(term);
   }
@@ -73,14 +74,18 @@ MergeOutcome LiveIndex::merge() {
   std::vector<Posting> scratch;
   for (TermId t{}; t.raw() < index_.vocab_size(); ++t) {
     if (!term_dirty(t)) continue;
-    // live_doc_sorted consults this overlay: base postings minus
-    // tombstones, then surviving segment postings.
-    if (!index_.live_doc_sorted(t, scratch)) continue;
-    out.postings_rewritten += scratch.size();
-    replacements.emplace_back(t, scratch);
+    // current_postings consults this overlay: base postings minus
+    // tombstones merged with the surviving segment postings, already
+    // in the order the new list keeps.
+    const std::span<const Posting> current =
+        index_.current_postings(t, scratch);
+    out.postings_rewritten += current.size();
+    replacements.emplace_back(
+        t, std::vector<Posting>(current.begin(), current.end()));
   }
   out.terms_rebuilt = replacements.size();
-  index_.rebuild_lists(base0_ + all_live_bags_.size(), replacements);
+  index_.rebuild_lists(base0_ + all_live_bags_.size(),
+                       std::move(replacements));
   merged_count_ = all_live_bags_.size();
   segment_.clear();
   std::fill(deleted_df_.begin(), deleted_df_.end(), 0);

@@ -10,7 +10,7 @@
 //  * deleted documents keep their slot (the rebuild oracle keeps an
 //    empty bag at the same id), so N and every assigned id are stable
 //    under churn;
-//  * merge() folds the segment into the materialized arenas and is
+//  * merge() folds the segment into the materialized lists and is
 //    content-neutral — a query sees bit-identical results immediately
 //    before and after (same N, same effective df per term), which is why
 //    merging needs no cache invalidation.
@@ -41,7 +41,7 @@ struct IngestConfig {
   /// would otherwise never merge).
   std::uint64_t merge_segment_ops = 0;
   /// LiveSegment chain-block granularity, in postings.
-  std::uint32_t segment_block_postings = 16;
+  std::uint32_t segment_block_size = 16;
 };
 
 namespace ingest {
@@ -112,7 +112,7 @@ class LiveIndex final : public LiveOverlay {
   /// after a merge needs stable ids.
   std::vector<DocBag> all_live_bags_;
   std::uint64_t base0_;         // corpus docs at construction (constant)
-  std::uint64_t merged_count_ = 0;  // prefix of all_live_bags_ in arenas
+  std::uint64_t merged_count_ = 0;  // prefix of all_live_bags_ merged
   Bitmap tombstones_;           // grown lazily, never cleared
   IdVector<TermId, std::uint32_t> deleted_df_;  // per-term, reset at merge
   std::uint64_t ops_since_merge_ = 0;

@@ -3,20 +3,20 @@
 namespace ssdse::ingest {
 
 LiveSegment::LiveSegment(std::uint32_t vocab_size,
-                         std::uint32_t block_postings)
-    : block_postings_(block_postings == 0 ? 1 : block_postings),
+                         std::uint32_t block_size)
+    : block_size_(block_size == 0 ? 1 : block_size),
       chains_(vocab_size) {}
 
 std::uint32_t LiveSegment::new_block() {
   const auto id = static_cast<std::uint32_t>(blocks_.size());
   blocks_.push_back(Block{});
-  arena_.resize(arena_.size() + block_postings_);
+  arena_.resize(arena_.size() + block_size_);
   return id;
 }
 
 void LiveSegment::append(TermId t, Posting p) {
   Chain& c = chains_[t];
-  if (c.tail == kInvalidU32 || blocks_[c.tail].used == block_postings_) {
+  if (c.tail == kInvalidU32 || blocks_[c.tail].used == block_size_) {
     const std::uint32_t b = new_block();
     if (c.tail == kInvalidU32) {
       c.head = b;
@@ -26,7 +26,7 @@ void LiveSegment::append(TermId t, Posting p) {
     c.tail = b;
   }
   Block& tail = blocks_[c.tail];
-  arena_[static_cast<std::size_t>(c.tail) * block_postings_ + tail.used] = p;
+  arena_[static_cast<std::size_t>(c.tail) * block_size_ + tail.used] = p;
   ++tail.used;
   ++c.count;
   ++total_;
@@ -36,7 +36,7 @@ void LiveSegment::collect(TermId t, std::vector<Posting>& out) const {
   const Chain& c = chains_[t];
   out.reserve(out.size() + c.count);
   for (std::uint32_t b = c.head; b != kInvalidU32; b = blocks_[b].next) {
-    const std::size_t base = static_cast<std::size_t>(b) * block_postings_;
+    const std::size_t base = static_cast<std::size_t>(b) * block_size_;
     for (std::uint32_t i = 0; i < blocks_[b].used; ++i) {
       out.push_back(arena_[base + i]);
     }

@@ -19,9 +19,10 @@ namespace ssdse::ingest {
 
 class LiveSegment {
  public:
-  /// `block_postings` is the chain-block granularity: small blocks waste
-  /// less on singleton terms, large blocks chase fewer pointers.
-  LiveSegment(std::uint32_t vocab_size, std::uint32_t block_postings);
+  /// `block_size` is the chain-block granularity, in postings: small
+  /// blocks waste less on singleton terms, large blocks chase fewer
+  /// pointers.
+  LiveSegment(std::uint32_t vocab_size, std::uint32_t block_size);
 
   /// Append one posting to term `t`'s chain. Doc ids must arrive
   /// non-decreasing per term (enforced by the monotone-id assignment in
@@ -57,8 +58,8 @@ class LiveSegment {
 
   std::uint32_t new_block();
 
-  std::uint32_t block_postings_;
-  std::vector<Posting> arena_;  // blocks_.size() * block_postings_ slots
+  std::uint32_t block_size_;
+  std::vector<Posting> arena_;  // blocks_.size() * block_size_ slots
   std::vector<Block> blocks_;
   IdVector<TermId, Chain> chains_;  // per term
   std::uint64_t total_ = 0;

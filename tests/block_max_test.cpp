@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -26,7 +27,6 @@ CorpusConfig pruning_corpus() {
   cfg.num_docs = 6'000;
   cfg.vocab_size = 150;
   cfg.terms_per_doc = 25;
-  cfg.max_df_fraction = 0.5;
   cfg.seed = 77;
   return cfg;
 }
@@ -52,9 +52,10 @@ TEST(BlockPostingStoreTest, DecodeMatchesDocSortedArenaEveryTerm) {
     Rng rng(pruning_corpus().seed);
     MaterializedCorpus corpus(pruning_corpus(), rng);
     MaterializedIndex index(corpus);
+    const DaatIndex daat(index);
     BlockPostingStore store(kind);
     for (TermId t{}; t < TermId{index.vocab_size()}; ++t) {
-      const DocSortedView ref = index.doc_sorted(t);
+      const DocSortedView ref = daat.doc_sorted(t);
       store.add_list(ref.postings(), ref.idf());
       const BlockPostingView v = store.view(t);
       ASSERT_EQ(v.size(), ref.size()) << "term " << t.raw();
@@ -80,7 +81,8 @@ TEST(BlockPostingStoreTest, StoredMaxBoundsEveryDecodedWeight) {
   Rng rng(pruning_corpus().seed);
   MaterializedCorpus corpus(pruning_corpus(), rng);
   MaterializedIndex index(corpus);
-  const BlockPostingStore& store = index.block_store();
+  const DaatIndex daat(index);
+  const BlockPostingStore& store = daat.block_store();
   Posting buf[kBlockPostings];
   std::uint64_t blocks_checked = 0;
   for (TermId t{}; t < TermId{index.vocab_size()}; ++t) {
@@ -145,14 +147,14 @@ TEST(BlockPostingStoreTest, FindBlockMatchesLinearScan) {
   Rng rng(pruning_corpus().seed);
   MaterializedCorpus corpus(pruning_corpus(), rng);
   MaterializedIndex index(corpus);
+  const DaatIndex daat(index);
   TermId longest{};
   for (TermId t{}; t < TermId{index.vocab_size()}; ++t) {
-    if (index.block_postings(t).size() >
-        index.block_postings(longest).size()) {
+    if (daat.block_postings(t).size() > daat.block_postings(longest).size()) {
       longest = t;
     }
   }
-  const BlockPostingView v = index.block_postings(longest);
+  const BlockPostingView v = daat.block_postings(longest);
   ASSERT_GT(v.num_blocks(), 3u);
   Rng probe_rng(321);
   for (int i = 0; i < 500; ++i) {
@@ -174,6 +176,7 @@ TEST(MaxScoreEquivalenceTest, RandomizedQueriesBitIdenticalToOracle) {
   Rng rng(pruning_corpus().seed);
   MaterializedCorpus corpus(pruning_corpus(), rng);
   MaterializedIndex index(corpus);
+  const DaatIndex daat(index);
   DaatProcessor oracle(10);
   MaxScoreDaatProcessor pruned(10);
   Rng qrng(909);
@@ -184,8 +187,8 @@ TEST(MaxScoreEquivalenceTest, RandomizedQueriesBitIdenticalToOracle) {
       q.terms.push_back(
           static_cast<TermId>(qrng.next_below(pruning_corpus().vocab_size)));
     }
-    const ResultEntry rr = oracle.intersect(index, q);
-    const ResultEntry pr = pruned.intersect(index, q);
+    const ResultEntry rr = oracle.intersect(daat, q);
+    const ResultEntry pr = pruned.intersect(daat, q);
     expect_docs_identical(pr, rr, qid);
   }
   // The suite must not pass vacuously: over 1k dense-corpus queries the
@@ -203,7 +206,8 @@ TEST(MaxScoreEquivalenceTest, StreamVByteIndexMatchesToo) {
   Rng rng(cfg.seed);
   MaterializedCorpus corpus(cfg, rng);
   MaterializedIndex index(corpus);
-  ASSERT_EQ(index.block_store().kind(), CodecKind::kStreamVByte);
+  const DaatIndex daat(index);
+  ASSERT_EQ(daat.block_store().kind(), CodecKind::kStreamVByte);
   DaatProcessor oracle(10);
   MaxScoreDaatProcessor pruned(10);
   Rng qrng(911);
@@ -213,8 +217,8 @@ TEST(MaxScoreEquivalenceTest, StreamVByteIndexMatchesToo) {
     for (std::size_t i = 0; i < n_terms; ++i) {
       q.terms.push_back(static_cast<TermId>(qrng.next_below(cfg.vocab_size)));
     }
-    expect_docs_identical(pruned.intersect(index, q),
-                          oracle.intersect(index, q), qid);
+    expect_docs_identical(pruned.intersect(daat, q),
+                          oracle.intersect(daat, q), qid);
   }
 }
 
@@ -224,6 +228,7 @@ TEST(MaxScoreEquivalenceTest, UnboundedTopKNeverPrunes) {
   Rng rng(pruning_corpus().seed);
   MaterializedCorpus corpus(pruning_corpus(), rng);
   MaterializedIndex index(corpus);
+  const DaatIndex daat(index);
   DaatProcessor oracle(100'000);
   MaxScoreDaatProcessor pruned(100'000);
   Rng qrng(913);
@@ -233,8 +238,8 @@ TEST(MaxScoreEquivalenceTest, UnboundedTopKNeverPrunes) {
         static_cast<TermId>(qrng.next_below(pruning_corpus().vocab_size)));
     q.terms.push_back(
         static_cast<TermId>(qrng.next_below(pruning_corpus().vocab_size)));
-    expect_docs_identical(pruned.intersect(index, q),
-                          oracle.intersect(index, q), qid);
+    expect_docs_identical(pruned.intersect(daat, q),
+                          oracle.intersect(daat, q), qid);
   }
   EXPECT_EQ(pruned.pruning().prune_jumps, 0u);
   EXPECT_EQ(pruned.pruning().postings_pruned, 0u);
@@ -245,18 +250,20 @@ class MaxScoreEdgeTest : public ::testing::Test {
   MaxScoreEdgeTest()
       : rng_(pruning_corpus().seed),
         corpus_(pruning_corpus(), rng_),
-        index_(corpus_) {}
+        index_(corpus_),
+        daat_(index_) {}
 
   void check(const Query& q, std::size_t top_k = 10) {
     DaatProcessor oracle(top_k);
     MaxScoreDaatProcessor pruned(top_k);
-    expect_docs_identical(pruned.intersect(index_, q),
-                          oracle.intersect(index_, q), q.id);
+    expect_docs_identical(pruned.intersect(daat_, q),
+                          oracle.intersect(daat_, q), q.id);
   }
 
   Rng rng_;
   MaterializedCorpus corpus_;
   MaterializedIndex index_;
+  DaatIndex daat_;
 };
 
 TEST_F(MaxScoreEdgeTest, EmptyQuery) { check(Query{QueryId{0}, {}}); }
@@ -289,8 +296,8 @@ TEST_F(MaxScoreEdgeTest, ScratchReuseAcrossMixedQueries) {
       q.terms.push_back(
           static_cast<TermId>(rng.next_below(index_.vocab_size())));
     }
-    expect_docs_identical(pruned.intersect(index_, q),
-                          oracle.intersect(index_, q), qid);
+    expect_docs_identical(pruned.intersect(daat_, q),
+                          oracle.intersect(daat_, q), qid);
   }
 }
 
@@ -300,31 +307,32 @@ TEST(MaxScoreChurnTest, DirtyTermsBypassStaleBlockMax) {
   // Churn episode: ingests raise tf's and deletes remove docs, so the
   // stored per-block max weights go stale for every touched term. The
   // block-max path must keep matching the (overlay-aware) exhaustive
-  // oracle mid-segment, and again after the merge rebuilds the blocks.
+  // oracle mid-segment, and again over a DaatIndex rebuilt after the
+  // merge; the one built before it must refuse to answer.
   CorpusConfig cfg;
   cfg.num_docs = 1'200;
   cfg.vocab_size = 120;
   cfg.terms_per_doc = 18;
-  cfg.max_df_fraction = 0.5;
   cfg.seed = 31;
   Rng rng(cfg.seed);
   MaterializedCorpus corpus(cfg, rng);
   MaterializedIndex index(corpus);
   ingest::LiveIndex live(index, corpus, IngestConfig{});
   index.attach_overlay(&live);
+  const DaatIndex before_merge(index);
 
   DaatProcessor oracle(10);
   MaxScoreDaatProcessor pruned(10);
   Rng crng(515);
-  const auto run_queries = [&](QueryId base) {
+  const auto run_queries = [&](const DaatIndex& daat, QueryId base) {
     for (QueryId i{}; i < QueryId{150}; ++i) {
       Query q{base + i.raw(), {}};
       const std::size_t n_terms = 1 + crng.next_below(3);
       for (std::size_t k = 0; k < n_terms; ++k) {
         q.terms.push_back(static_cast<TermId>(crng.next_below(cfg.vocab_size)));
       }
-      expect_docs_identical(pruned.intersect(index, q),
-                            oracle.intersect(index, q), q.id);
+      expect_docs_identical(pruned.intersect(daat, q),
+                            oracle.intersect(daat, q), q.id);
     }
   };
 
@@ -349,13 +357,22 @@ TEST(MaxScoreChurnTest, DirtyTermsBypassStaleBlockMax) {
     }
   }
   ASSERT_FALSE(live.clean());
-  run_queries(QueryId{10'000});
+  run_queries(before_merge, QueryId{10'000});
 
-  // Post-merge: blocks (and block-max metadata) rebuilt from the merged
-  // postings; the clean fast path is back in force.
+  // The merge rewrites the index's lists: the old DaatIndex is stale,
+  // and every processor says so instead of answering from it.
   live.merge();
   ASSERT_TRUE(live.clean());
-  run_queries(QueryId{20'000});
+  const Query probe{QueryId{1}, {TermId{0}, TermId{1}}};
+  EXPECT_THROW(oracle.intersect(before_merge, probe), std::logic_error);
+  EXPECT_THROW(pruned.intersect(before_merge, probe), std::logic_error);
+  EXPECT_THROW(NaiveDaatProcessor(10).intersect(before_merge, probe),
+               std::logic_error);
+
+  // Rebuilt over the merged lists: blocks and block-max metadata come
+  // from the merged postings, and the clean fast path is back in force.
+  run_queries(DaatIndex(index), QueryId{20'000});
+  index.attach_overlay(nullptr);
 }
 
 }  // namespace

@@ -38,6 +38,7 @@ void run_suite(const CorpusConfig& cfg, std::uint64_t query_seed,
   Rng corpus_rng(cfg.seed);
   MaterializedCorpus corpus(cfg, corpus_rng);
   MaterializedIndex index(corpus);
+  const DaatIndex daat(index);
   DaatProcessor fast(top_k);
   NaiveDaatProcessor ref(top_k);
   Rng rng(query_seed);
@@ -48,8 +49,8 @@ void run_suite(const CorpusConfig& cfg, std::uint64_t query_seed,
       q.terms.push_back(static_cast<TermId>(rng.next_below(cfg.vocab_size)));
     }
     DaatStats fs, rs;
-    const ResultEntry fr = fast.intersect(index, q, &fs);
-    const ResultEntry rr = ref.intersect(index, q, &rs);
+    const ResultEntry fr = fast.intersect(daat, q, &fs);
+    const ResultEntry rr = ref.intersect(daat, q, &rs);
     expect_identical(fr, rr, fs, rs, q);
   }
 }
@@ -59,7 +60,6 @@ TEST(DaatEquivalenceTest, DenseCorpusRandomQueries) {
   cfg.num_docs = 3'000;
   cfg.vocab_size = 120;
   cfg.terms_per_doc = 20;
-  cfg.max_df_fraction = 0.5;
   cfg.seed = 55;
   run_suite(cfg, /*query_seed=*/101, /*num_queries=*/200, /*top_k=*/10);
 }
@@ -69,7 +69,6 @@ TEST(DaatEquivalenceTest, DenseCorpusUnboundedTopK) {
   cfg.num_docs = 2'000;
   cfg.vocab_size = 80;
   cfg.terms_per_doc = 25;
-  cfg.max_df_fraction = 0.6;
   cfg.seed = 7;
   run_suite(cfg, 202, 100, /*top_k=*/100'000);  // keep every match
 }
@@ -92,7 +91,6 @@ class DaatEquivalenceEdgeTest : public ::testing::Test {
     cfg.num_docs = 3'000;
     cfg.vocab_size = 200;
     cfg.terms_per_doc = 15;
-    cfg.max_df_fraction = 0.4;
     cfg.seed = 13;
     return cfg;
   }
@@ -100,14 +98,15 @@ class DaatEquivalenceEdgeTest : public ::testing::Test {
   DaatEquivalenceEdgeTest()
       : rng_(edge_corpus().seed),
         corpus_(edge_corpus(), rng_),
-        index_(corpus_) {}
+        index_(corpus_),
+        daat_(index_) {}
 
   void check(const Query& q, std::size_t top_k = 10) {
     DaatProcessor fast(top_k);
     NaiveDaatProcessor ref(top_k);
     DaatStats fs, rs;
-    const ResultEntry fr = fast.intersect(index_, q, &fs);
-    const ResultEntry rr = ref.intersect(index_, q, &rs);
+    const ResultEntry fr = fast.intersect(daat_, q, &fs);
+    const ResultEntry rr = ref.intersect(daat_, q, &rs);
     expect_identical(fr, rr, fs, rs, q);
   }
 
@@ -122,6 +121,7 @@ class DaatEquivalenceEdgeTest : public ::testing::Test {
   Rng rng_;
   MaterializedCorpus corpus_;
   MaterializedIndex index_;
+  DaatIndex daat_;
 };
 
 TEST_F(DaatEquivalenceEdgeTest, EmptyQuery) { check(Query{QueryId{0}, {}}); }
@@ -174,8 +174,8 @@ TEST_F(DaatEquivalenceEdgeTest, ScratchReuseAcrossMixedQueries) {
           static_cast<TermId>(rng.next_below(index_.vocab_size())));
     }
     DaatStats fs, rs;
-    const ResultEntry fr = fast.intersect(index_, q, &fs);
-    const ResultEntry rr = ref.intersect(index_, q, &rs);
+    const ResultEntry fr = fast.intersect(daat_, q, &fs);
+    const ResultEntry rr = ref.intersect(daat_, q, &rs);
     expect_identical(fr, rr, fs, rs, q);
   }
 }

@@ -144,13 +144,14 @@ CorpusConfig daat_corpus() {
   cfg.num_docs = 3'000;
   cfg.vocab_size = 120;
   cfg.terms_per_doc = 20;
-  cfg.max_df_fraction = 0.5;  // dense lists: intersections non-empty
   return cfg;
 }
 
 class DaatTest : public ::testing::Test {
  protected:
-  DaatTest() : rng_(55), corpus_(daat_corpus(), rng_), index_(corpus_) {}
+  DaatTest()
+      : rng_(55), corpus_(daat_corpus(), rng_), index_(corpus_),
+        daat_index_(index_) {}
 
   /// Brute-force oracle: docs containing every term.
   std::set<DocId> oracle(const std::vector<TermId>& terms) {
@@ -178,6 +179,7 @@ class DaatTest : public ::testing::Test {
   Rng rng_;
   MaterializedCorpus corpus_;
   MaterializedIndex index_;
+  DaatIndex daat_index_;
 };
 
 TEST_F(DaatTest, MatchesBruteForceIntersection) {
@@ -186,7 +188,7 @@ TEST_F(DaatTest, MatchesBruteForceIntersection) {
     Query q{qid, {TermId{static_cast<std::uint32_t>(qid.raw() % 40)},
                   TermId{static_cast<std::uint32_t>(40 + qid.raw() % 40)}}};
     DaatStats stats;
-    const ResultEntry result = daat.intersect(index_, q, &stats);
+    const ResultEntry result = daat.intersect(daat_index_, q, &stats);
     const auto expected = oracle(q.terms);
     ASSERT_EQ(result.docs.size(), expected.size()) << "query " << qid.raw();
     for (const ScoredDoc& d : result.docs) {
@@ -199,7 +201,7 @@ TEST_F(DaatTest, MatchesBruteForceIntersection) {
 TEST_F(DaatTest, ThreeTermIntersection) {
   DaatProcessor daat(100'000);
   Query q{QueryId{1}, {TermId{0}, TermId{1}, TermId{2}}};
-  const auto result = daat.intersect(index_, q);
+  const auto result = daat.intersect(daat_index_, q);
   const auto expected = oracle(q.terms);
   EXPECT_EQ(result.docs.size(), expected.size());
 }
@@ -207,7 +209,7 @@ TEST_F(DaatTest, ThreeTermIntersection) {
 TEST_F(DaatTest, ScoresDescending) {
   DaatProcessor daat(50);
   Query q{QueryId{2}, {TermId{0}, TermId{1}}};
-  const auto result = daat.intersect(index_, q);
+  const auto result = daat.intersect(daat_index_, q);
   for (std::size_t i = 1; i < result.docs.size(); ++i) {
     EXPECT_GE(result.docs[i - 1].score, result.docs[i].score);
   }
@@ -216,13 +218,13 @@ TEST_F(DaatTest, ScoresDescending) {
 TEST_F(DaatTest, TopKBoundsOutput) {
   DaatProcessor daat(5);
   Query q{QueryId{3}, {TermId{0}, TermId{1}}};
-  const auto result = daat.intersect(index_, q);
+  const auto result = daat.intersect(daat_index_, q);
   EXPECT_LE(result.docs.size(), 5u);
 }
 
 TEST_F(DaatTest, EmptyQueryAndMissingTerm) {
   DaatProcessor daat;
-  EXPECT_TRUE(daat.intersect(index_, Query{QueryId{4}, {}}).docs.empty());
+  EXPECT_TRUE(daat.intersect(daat_index_, Query{QueryId{4}, {}}).docs.empty());
 }
 
 TEST_F(DaatTest, SelectiveQueriesLeapTheDenseList) {
@@ -244,7 +246,7 @@ TEST_F(DaatTest, SelectiveQueriesLeapTheDenseList) {
   ASSERT_NE(rare, dense);
   DaatProcessor daat(100'000);
   DaatStats stats;
-  daat.intersect(index_, Query{QueryId{5}, {rare, dense}}, &stats);
+  daat.intersect(daat_index_, Query{QueryId{5}, {rare, dense}}, &stats);
   // Far fewer postings touched than the dense list holds.
   EXPECT_LT(stats.postings_touched, max_df);
 }

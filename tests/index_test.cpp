@@ -21,31 +21,10 @@ TEST(PostingListTest, SortedByDescendingTf) {
   EXPECT_EQ(list[3].tf, 1u);
 }
 
-TEST(PostingListTest, PrefixFractionRounding) {
-  std::vector<Posting> p;
-  for (DocId d{}; d < DocId{10}; ++d) p.push_back({d, 10 - d.raw()});
-  PostingList list(std::move(p));
-  EXPECT_EQ(list.prefix(0.5).size(), 5u);
-  EXPECT_EQ(list.prefix(0.01).size(), 1u);  // at least one posting
-  EXPECT_EQ(list.prefix(1.0).size(), 10u);
-  EXPECT_EQ(list.prefix(2.0).size(), 10u);  // clamped
-  EXPECT_EQ(list.prefix(0.0).size(), 0u);
-}
-
 TEST(PostingListTest, EmptyList) {
   PostingList list;
   EXPECT_TRUE(list.empty());
-  EXPECT_EQ(list.prefix(1.0).size(), 0u);
   EXPECT_EQ(list.bytes(), 0u);
-}
-
-TEST(PostingListTest, FrontierBinarySearch) {
-  PostingList list(
-      {{DocId{0}, 9}, {DocId{1}, 7}, {DocId{2}, 7}, {DocId{3}, 3}, {DocId{4}, 1}});
-  EXPECT_EQ(list.frontier(10), 0u);
-  EXPECT_EQ(list.frontier(7), 3u);  // first index with tf < 7
-  EXPECT_EQ(list.frontier(1), 5u);
-  EXPECT_EQ(list.frontier(0), 5u);
 }
 
 TEST(PostingListTest, BytesUsesPostingSizeModel) {

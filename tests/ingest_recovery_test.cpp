@@ -89,6 +89,8 @@ void expect_matches_oracle(MaterializedIndex& restarted,
   MaterializedCorpus oracle_corpus(cc, mirror_docs);
   MaterializedIndex oracle_index(oracle_corpus);
   ASSERT_EQ(restarted.num_docs(), oracle_index.num_docs());
+  const DaatIndex restarted_daat(restarted);
+  const DaatIndex oracle_daat(oracle_index);
   DaatProcessor a(10), b(10);
   Rng qrng(77);
   for (QueryId qid{}; qid < QueryId{100}; ++qid) {
@@ -97,8 +99,8 @@ void expect_matches_oracle(MaterializedIndex& restarted,
     for (std::size_t i = 0; i < terms; ++i) {
       q.terms.push_back(static_cast<TermId>(qrng.next_below(cc.vocab_size)));
     }
-    const ResultEntry got = a.intersect(restarted, q, nullptr);
-    const ResultEntry want = b.intersect(oracle_index, q, nullptr);
+    const ResultEntry got = a.intersect(restarted_daat, q, nullptr);
+    const ResultEntry want = b.intersect(oracle_daat, q, nullptr);
     expect_docs_eq(got, want, qid);
   }
 }

@@ -7,8 +7,10 @@
 // docs appended at their assigned ids). Plus the two-level cache
 // coherence discipline: ingest/delete invalidates affected cached
 // entries, merge invalidates nothing.
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,13 +49,14 @@ struct DocMirror {
   void erase(DocId d) { docs[d.raw()].clear(); }  // slot stays — empty bag
 };
 
-/// Rebuild-from-scratch oracle: a fresh corpus + index over the
-/// mirrored documents.
+/// Rebuild-from-scratch oracle: a fresh corpus + index (and the DAAT
+/// engine's view of it) over the mirrored documents.
 struct Oracle {
   MaterializedCorpus corpus;
   MaterializedIndex index;
+  DaatIndex daat;
   Oracle(const CorpusConfig& cfg, const DocMirror& mirror)
-      : corpus(cfg, mirror.docs), index(corpus) {}
+      : corpus(cfg, mirror.docs), index(corpus), daat(index) {}
 };
 
 ingest::DocBag make_bag(Rng& rng, std::uint32_t vocab, std::size_t terms) {
@@ -98,7 +101,7 @@ void expect_docs_eq(const ResultEntry& got, const ResultEntry& want,
 /// Both DAAT processors against the overlayed index must match the
 /// oracle bit-for-bit, stats included: churn scratch and arena slices
 /// advance by the same search, so even postings_touched agrees.
-void expect_oracle_equivalent(const MaterializedIndex& live_index,
+void expect_oracle_equivalent(const DaatIndex& live_daat,
                               const Oracle& oracle,
                               const std::vector<Query>& queries,
                               const char* ctx) {
@@ -106,15 +109,29 @@ void expect_oracle_equivalent(const MaterializedIndex& live_index,
   NaiveDaatProcessor naive(10), oracle_naive(10);
   for (const Query& q : queries) {
     DaatStats fs, os, ns, ons;
-    const ResultEntry fr = fast.intersect(live_index, q, &fs);
-    const ResultEntry orf = oracle_fast.intersect(oracle.index, q, &os);
+    const ResultEntry fr = fast.intersect(live_daat, q, &fs);
+    const ResultEntry orf = oracle_fast.intersect(oracle.daat, q, &os);
     expect_docs_eq(fr, orf, ctx, q.id);
-    const ResultEntry nr = naive.intersect(live_index, q, &ns);
-    const ResultEntry orn = oracle_naive.intersect(oracle.index, q, &ons);
+    const ResultEntry nr = naive.intersect(live_daat, q, &ns);
+    const ResultEntry orn = oracle_naive.intersect(oracle.daat, q, &ons);
     expect_docs_eq(nr, orn, ctx, q.id);
     EXPECT_EQ(fs.docs_scored, os.docs_scored) << ctx << " query " << q.id.raw();
     EXPECT_EQ(fs.postings_touched, os.postings_touched)
         << ctx << " query " << q.id.raw();
+  }
+}
+
+/// What the scorer reads and a merge installs: every term's current
+/// frequency-ordered postings equal the oracle's stored list, element
+/// for element.
+void expect_postings_equal(const MaterializedIndex& live_index,
+                           const Oracle& oracle, const char* ctx) {
+  std::vector<Posting> scratch;
+  for (TermId t{}; t < TermId{live_index.vocab_size()}; ++t) {
+    const std::span<const Posting> got =
+        live_index.current_postings(t, scratch);
+    const std::span<const Posting> want = oracle.index.postings(t)->postings();
+    ASSERT_TRUE(std::ranges::equal(got, want)) << ctx << " term " << t.raw();
   }
 }
 
@@ -230,55 +247,63 @@ TEST(LiveIndexTest, MergeTriggers) {
 // --- Oracle equivalence -------------------------------------------------
 
 TEST(LiveIndexOracleTest, ChurnMatchesRebuildFromScratch) {
-  const CorpusConfig cc = small_corpus();
-  Rng rng(cc.seed);
-  MaterializedCorpus corpus(cc, rng);
-  MaterializedIndex index(corpus);
-  ingest::LiveIndex live(index, corpus, IngestConfig{});
-  index.attach_overlay(&live);
-  DocMirror mirror(corpus);
+  // Block-packed sizes a merged list by its doc-ordered blocks, so it
+  // gets its own pass through the metadata reconvergence check.
+  for (const char* codec : {"raw", "block-packed"}) {
+    SCOPED_TRACE(codec);
+    CorpusConfig cc = small_corpus();
+    cc.codec = codec;
+    Rng rng(cc.seed);
+    MaterializedCorpus corpus(cc, rng);
+    MaterializedIndex index(corpus);
+    ingest::LiveIndex live(index, corpus, IngestConfig{});
+    index.attach_overlay(&live);
+    DocMirror mirror(corpus);
 
-  Rng churn_rng(31);
-  // Interleaved adds and deletes (of base and of live docs).
-  for (int i = 0; i < 40; ++i) {
-    const ingest::DocBag bag = make_bag(churn_rng, cc.vocab_size, 8);
-    const DocId id = live.ingest(bag);
-    ASSERT_EQ(id.raw(), mirror.docs.size());
-    mirror.ingest(bag);
-    if (i % 4 == 3) {
-      const auto victim =
-          static_cast<DocId>(churn_rng.next_below(index.num_docs()));
-      if (live.erase(victim, nullptr)) mirror.erase(victim);
+    Rng churn_rng(31);
+    // Interleaved adds and deletes (of base and of live docs).
+    for (int i = 0; i < 40; ++i) {
+      const ingest::DocBag bag = make_bag(churn_rng, cc.vocab_size, 8);
+      const DocId id = live.ingest(bag);
+      ASSERT_EQ(id.raw(), mirror.docs.size());
+      mirror.ingest(bag);
+      if (i % 4 == 3) {
+        const auto victim =
+            static_cast<DocId>(churn_rng.next_below(index.num_docs()));
+        if (live.erase(victim, nullptr)) mirror.erase(victim);
+      }
     }
+    ASSERT_FALSE(live.clean());
+
+    Rng query_rng(32);
+    const std::vector<Query> queries =
+        random_queries(query_rng, cc.vocab_size, 120);
+    const Oracle mid(cc, mirror);
+    ASSERT_EQ(index.num_docs(), mid.index.num_docs());
+    expect_postings_equal(index, mid, "mid-segment");
+    expect_oracle_equivalent(DaatIndex(index), mid, queries, "mid-segment");
+
+    // Merge is content-neutral: same results, now from the merged lists
+    // and a DaatIndex rebuilt over them — full stats equality included.
+    const ingest::MergeOutcome outcome = live.merge();
+    EXPECT_GT(outcome.terms_rebuilt, 0u);
+    EXPECT_TRUE(live.clean());
+    EXPECT_EQ(index.num_docs(), mid.index.num_docs());
+    expect_postings_equal(index, mid, "post-merge");
+    expect_oracle_equivalent(DaatIndex(index), mid, queries, "post-merge");
+
+    // Term metadata reconverges too (df, bytes, scoring idf).
+    for (TermId t{}; t < TermId{cc.vocab_size}; ++t) {
+      const TermMeta got = index.term_meta(t);
+      const TermMeta want = mid.index.term_meta(t);
+      EXPECT_EQ(got.df, want.df) << "term " << t.raw();
+      EXPECT_EQ(got.list_bytes, want.list_bytes) << "term " << t.raw();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.idf),
+                std::bit_cast<std::uint64_t>(want.idf))
+          << "term " << t.raw();
+    }
+    index.attach_overlay(nullptr);
   }
-  ASSERT_FALSE(live.clean());
-
-  Rng query_rng(32);
-  const std::vector<Query> queries =
-      random_queries(query_rng, cc.vocab_size, 120);
-  const Oracle mid(cc, mirror);
-  ASSERT_EQ(index.num_docs(), mid.index.num_docs());
-  expect_oracle_equivalent(index, mid, queries, "mid-segment");
-
-  // Merge is content-neutral: same results, now from rebuilt arenas
-  // with skip tables — full stats equality included.
-  const ingest::MergeOutcome outcome = live.merge();
-  EXPECT_GT(outcome.terms_rebuilt, 0u);
-  EXPECT_TRUE(live.clean());
-  EXPECT_EQ(index.num_docs(), mid.index.num_docs());
-  expect_oracle_equivalent(index, mid, queries, "post-merge");
-
-  // Term metadata reconverges too (df, bytes, scoring idf).
-  for (TermId t{}; t < TermId{cc.vocab_size}; ++t) {
-    const TermMeta got = index.term_meta(t);
-    const TermMeta want = mid.index.term_meta(t);
-    EXPECT_EQ(got.df, want.df) << "term " << t.raw();
-    EXPECT_EQ(got.list_bytes, want.list_bytes) << "term " << t.raw();
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.idf),
-              std::bit_cast<std::uint64_t>(want.idf))
-        << "term " << t.raw();
-  }
-  index.attach_overlay(nullptr);
 }
 
 TEST(LiveIndexOracleTest, RepeatedMergeCyclesStayExact) {
@@ -300,11 +325,13 @@ TEST(LiveIndexOracleTest, RepeatedMergeCyclesStayExact) {
     const auto victim =
         static_cast<DocId>(churn_rng.next_below(index.num_docs()));
     if (live.erase(victim, nullptr)) mirror.erase(victim);
-    (void)live.merge();
     const Oracle oracle(cc, mirror);
+    expect_postings_equal(index, oracle, "mid-segment");
+    (void)live.merge();
+    expect_postings_equal(index, oracle, "post-merge");
     const std::vector<Query> queries =
         random_queries(query_rng, cc.vocab_size, 60);
-    expect_oracle_equivalent(index, oracle, queries, "cycle");
+    expect_oracle_equivalent(DaatIndex(index), oracle, queries, "cycle");
   }
   index.attach_overlay(nullptr);
 }

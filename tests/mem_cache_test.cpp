@@ -7,6 +7,7 @@
 
 #include "src/cache/mem_list_cache.hpp"
 #include "src/cache/mem_result_cache.hpp"
+#include "src/engine/daat.hpp"
 #include "src/index/inverted_index.hpp"
 #include "src/util/flat_lru_map.hpp"
 #include "src/util/rng.hpp"
@@ -355,7 +356,6 @@ TEST(MemListCacheTest, EncodedSizeAccountingChangesEvictionCounts) {
   cfg.num_docs = 4'000;
   cfg.vocab_size = 200;
   cfg.terms_per_doc = 30;
-  cfg.max_df_fraction = 0.4;
   cfg.seed = 55;
   cfg.codec = "raw";
   Rng rng_raw(cfg.seed);
@@ -367,17 +367,19 @@ TEST(MemListCacheTest, EncodedSizeAccountingChangesEvictionCounts) {
   Rng rng_packed(cfg.seed);
   MaterializedCorpus packed_corpus(packed_cfg, rng_packed);
   MaterializedIndex packed_index(packed_corpus);
+  const DaatIndex packed_daat(packed_index);
 
   // Same postings, different accounting: the packed index's charged
-  // bytes are the encoded slice sizes, several-fold below raw.
+  // bytes are the encoded sizes of the DAAT engine's block slices,
+  // several-fold below raw.
   Bytes raw_total = 0;
   Bytes packed_total = 0;
   for (TermId t{}; t < TermId{cfg.vocab_size}; ++t) {
-    ASSERT_EQ(raw_index.doc_sorted(t).size(), packed_index.doc_sorted(t).size());
+    ASSERT_EQ(raw_index.postings(t)->size(), packed_index.postings(t)->size());
     raw_total += raw_index.term_meta_fast(t).list_bytes;
     packed_total += packed_index.term_meta_fast(t).list_bytes;
     EXPECT_EQ(packed_index.term_meta_fast(t).list_bytes,
-              packed_index.block_store().term_bytes(t));
+              packed_daat.block_store().term_bytes(t));
   }
   EXPECT_LT(packed_total * 5 / 2, raw_total);
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/hybrid/metrics.hpp"
-#include "src/index/posting.hpp"
 #include "src/ssd/ssd.hpp"
 #include "src/util/bitmap.hpp"
 #include "src/util/flat_lru_map.hpp"
@@ -111,13 +110,6 @@ TEST(BitmapEdgeTest, ExactWordBoundary) {
   EXPECT_EQ(b.first_clear(), 64u);
   b.clear(63);
   EXPECT_EQ(b.first_clear(), 63u);
-}
-
-// --- PostingList corner ---------------------------------------------------------
-
-TEST(PostingEdgeTest, SingleElementPrefix) {
-  PostingList list({{DocId{9}, 2}});
-  EXPECT_EQ(list.prefix(0.0001).size(), 1u);  // ceil: never zero if >0
 }
 
 }  // namespace
