@@ -124,15 +124,17 @@ inline SystemConfig paper_system(CachePolicy policy,
 
 inline std::string fmt_ms(Micros us) { return Table::num(us / kMillisecond, 2); }
 
-/// Figure benches emit a telemetry run report for their representative
-/// cell when SSDSE_TELEMETRY_OUT names a path (perf_driver always
-/// emits; see DESIGN.md §9 for the schema).
-inline void maybe_write_report(const SearchSystem& sys,
+/// Benches emit a telemetry run report (DESIGN.md §9) for their
+/// representative cell when SSDSE_TELEMETRY_OUT names a path. `metrics`
+/// is the run's registry snapshot: one system's, or
+/// SearchCluster::telemetry_snapshot() for a cluster run.
+inline void maybe_write_report(const telemetry::RegistrySnapshot& metrics,
                                const std::string& run_name,
                                const TrafficResult* traffic = nullptr,
                                const ReplicationSnapshot* replication = nullptr) {
   if (const char* path = std::getenv("SSDSE_TELEMETRY_OUT")) {
-    if (write_run_report(sys, run_name, path, traffic, replication)) {
+    if (write_json_file(path, render_run_report(run_name, metrics, traffic,
+                                                replication))) {
       std::printf("wrote telemetry report %s (%s)\n", path,
                   run_name.c_str());
     } else {

@@ -173,7 +173,7 @@ int main() {
       static_cast<unsigned long long>(p.stats.blocks_skipped),
       static_cast<unsigned long long>(p.stats.blocks_decoded),
       100.0 * p.postings_pruned_fraction, 100.0 * kMinPrunedFraction,
-      tracer.stage_stats(telemetry::TraceStage::kDaatSkip).sum(),
+      tracer.stage_hist(telemetry::TraceStage::kDaatSkip).sum(),
       registry.size());
 
   return finish_bench(

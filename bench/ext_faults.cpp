@@ -86,7 +86,9 @@ CellResult run_cell(const FaultCell& c, std::uint64_t queries,
     }
   }
   sys.drain();
-  if (emit_report) maybe_write_report(sys, "ext_faults");
+  if (emit_report) {
+    maybe_write_report(sys.telemetry_registry().snapshot(), "ext_faults");
+  }
 
   CellResult r;
   r.cell = &c;

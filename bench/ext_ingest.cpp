@@ -299,7 +299,8 @@ int main() {
       oracle_probe(heavy, oracle_index, probes, "post-merge");
   const bool pruned_post_ok =
       pruned_probe(heavy, probes, "pruned post-merge");
-  maybe_write_report(*heavy.sys, "ext_ingest");
+  maybe_write_report(heavy.sys->telemetry_registry().snapshot(),
+                     "ext_ingest");
 
   Table t({"cell", "fingerprint", "mean (ms)", "HR", "docs", "dels",
            "merges", "stale res", "stale list", "ssd marks"});

@@ -92,7 +92,8 @@ int main() {
           run_traffic(*run.target, run.system->generator(), cfg));
       // The CBSLRU knee point carries the representative run report.
       if (run.policy == CachePolicy::kCbslru && frac == 1.0) {
-        maybe_write_report(*run.system, "ext_load_latency", &points.back());
+        maybe_write_report(run.system->telemetry_registry().snapshot(),
+                           "ext_load_latency", &points.back());
       }
     }
     const auto shed_pct = [](const TrafficResult& r) {

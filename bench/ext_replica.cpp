@@ -176,8 +176,8 @@ CellOutcome run_cell(const SweepCell& cell, const Calibration& cal,
   out.conservation =
       out.result.served + out.result.shed == out.result.offered;
   if (emit_report) {
-    maybe_write_report(cluster.shard(0), "ext_replica", &out.result,
-                       &out.snap);
+    maybe_write_report(cluster.telemetry_snapshot(), "ext_replica",
+                       &out.result, &out.snap);
   }
   return out;
 }

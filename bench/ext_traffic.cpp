@@ -148,7 +148,8 @@ CellOutcome run_cell(const TrafficCell& cell, const Calibration& cal,
   out.pass = out.pass && out.conservation;
 
   if (emit_report) {
-    maybe_write_report(cluster.shard(0), "ext_traffic", &out.result);
+    maybe_write_report(cluster.telemetry_snapshot(), "ext_traffic",
+                       &out.result);
   }
   return out;
 }

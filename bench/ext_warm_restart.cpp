@@ -81,7 +81,8 @@ WarmRestartReport measure(CachePolicy policy, std::uint64_t warmup,
     report.recovery_flash_time = b.recovery_stats()->restore_flash_time;
     report.recovery_wall_ms = b.recovery_stats()->recovery_wall_ms;
     // Telemetry run report for the recovered system (SSDSE_TELEMETRY_OUT).
-    maybe_write_report(b, "ext_warm_restart");
+    maybe_write_report(b.telemetry_registry().snapshot(),
+                       "ext_warm_restart");
   }
 
   {  // Phase C: cold baseline — same config, fresh caches.

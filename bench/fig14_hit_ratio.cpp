@@ -40,7 +40,10 @@ double run_2lc(CachePolicy policy, Bytes budget, std::uint64_t queries,
   SearchSystem system(cfg);
   system.run(queries);
   system.drain();
-  if (emit_report) maybe_write_report(system, "fig14_2lc_cbslru");
+  if (emit_report) {
+    maybe_write_report(system.telemetry_registry().snapshot(),
+                       "fig14_2lc_cbslru");
+  }
   return system.metrics().request_coverage();
 }
 

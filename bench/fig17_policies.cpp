@@ -20,7 +20,10 @@ Cell run(CachePolicy policy, std::uint64_t docs, std::uint64_t queries,
   SearchSystem system(cfg);
   system.run(queries);
   system.drain();
-  if (emit_report) maybe_write_report(system, "fig17_2lc_cbslru_5m");
+  if (emit_report) {
+    maybe_write_report(system.telemetry_registry().snapshot(),
+                       "fig17_2lc_cbslru_5m");
+  }
   return {system.metrics().mean_response(), system.throughput_qps()};
 }
 

@@ -141,7 +141,9 @@ PhaseResult run_system_phase(const char* name, SystemConfig cfg,
   system.drain();
   const double wall = ms_since(t0);
   if (report_path != nullptr &&
-      !write_run_report(system, name, report_path)) {
+      !write_json_file(report_path,
+                       render_run_report(
+                           name, system.telemetry_registry().snapshot()))) {
     std::fprintf(stderr, "perf_driver: cannot write %s\n", report_path);
     std::exit(1);
   }

@@ -31,11 +31,12 @@ Front-ends
 The precise front-end drives `clang++ -Xclang -ast-dump=json` over the
 translation units listed in a CMake-exported compile_commands.json and
 walks the AST (declaration ids make use-def exact). When no clang is on
-PATH the analyzer degrades honestly: `--frontend clang` exits 0 with a
-"skipped (toolchain unavailable)" notice, while the default `auto` mode
-falls back to a comment/string-aware textual front-end that brace-scopes
-the same three rules. Both front-ends report identically shaped
-findings, so suppressions work regardless of which one ran.
+PATH, or no translation unit yields an AST, `--frontend clang` exits 2
+(the AST front-end did not run, so nothing was checked), while the
+default `auto` mode falls back to a comment/string-aware textual
+front-end that brace-scopes the same three rules. Both front-ends
+report identically shaped findings, so suppressions work regardless of
+which one ran.
 
 A violating line can be allowed with an inline annotation on the same
 line or the line above — the justification text is mandatory:
@@ -44,7 +45,8 @@ line or the line above — the justification text is mandatory:
 
 Run with --self-test to verify every rule class fires on a seeded
 violation (what the `ssdse_semantic_selftest` CTest runs). Exit status:
-0 clean/skipped, 1 violations found, 2 usage/internal error.
+0 clean, 1 violations found, 2 usage/internal error or `--frontend
+clang` without a working AST front-end.
 """
 
 from __future__ import annotations
@@ -389,9 +391,9 @@ class Analyzer:
 
         clang = find_clang() if self.frontend in ("auto", "clang") else None
         if self.frontend == "clang" and clang is None:
-            print("ssdse_semantic: skipped (toolchain unavailable: no "
-                  "clang++ on PATH for AST dumps)")
-            return 0
+            print("ssdse_semantic: --frontend clang: no clang++ on PATH "
+                  "for AST dumps", file=sys.stderr)
+            return 2
 
         ast_ok = False
         if clang is not None and self.build is not None:
@@ -400,10 +402,10 @@ class Analyzer:
             if ast_ok:
                 self.frontend_used = "clang+text"
         if self.frontend == "clang" and not ast_ok:
-            print("ssdse_semantic: skipped (toolchain unavailable: no "
-                  "usable compile_commands.json under "
-                  f"{self.build or '<no build dir>'})")
-            return 0
+            print("ssdse_semantic: --frontend clang: no AST from the "
+                  "compile_commands.json under "
+                  f"{self.build or '<no build dir>'}", file=sys.stderr)
+            return 2
 
         for path, text in sorted(files.items()):
             code = blank_noncode(text)
@@ -561,6 +563,19 @@ def self_test() -> int:
                 failures.append("clang AST front-end did not fire "
                                 f"latency-drop (got {found})")
 
+    # `--frontend clang` must fail, not pass, when no AST front-end ran
+    # (here: no compile database).
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        src.mkdir()
+        (src / "clean.cpp").write_text(CLEAN, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = Analyzer(Path(tmp), None, "clang").run()
+        if code != 2:
+            failures.append("--frontend clang without an AST exited "
+                            f"{code}, expected 2")
+
     if failures:
         for f in failures:
             print(f"self-test FAIL: {f}")
@@ -582,7 +597,7 @@ def main() -> int:
     ap.add_argument("--frontend", choices=("auto", "clang", "text"),
                     default="auto",
                     help="auto: clang AST when available, else textual; "
-                         "clang: AST or skip; text: textual only")
+                         "clang: AST or exit 2; text: textual only")
     ap.add_argument("--self-test", action="store_true",
                     help="verify each rule class fires on a seeded "
                          "violation")

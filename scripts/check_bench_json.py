@@ -2,6 +2,7 @@
 """Validate machine-readable run artifacts.
 
 Usage: check_bench_json.py <file.json> [more.json ...]
+       check_bench_json.py --self-test
 
 Two document shapes are recognized:
   * bench artifacts ("bench": <name>), every one written by
@@ -37,19 +38,27 @@ Two document shapes are recognized:
                       <= 2 x failovers, coverage in [0, 1]), the
                       monotone capped backoff schedule, and the three
                       tail-tolerance gates;
-  * telemetry run reports ("report": "telemetry") — DESIGN.md §9: the
-    registry dump, per-stage trace quantiles, situation census, per-tier
-    cache accounting, flash counters, the fault/breaker section, the
-    ingest/coherence section when the live index is enabled, the
-    traffic/windows/slo/attribution sections when the run was driven by
-    the open-loop harness, and the replication section on cluster runs.
+  * telemetry run reports ("report": "telemetry", "schema_version": 2)
+    — DESIGN.md §9. Every number of the run lives in "metrics",
+    the registry snapshot (one system's, or a whole cluster's merge);
+    beside it sit only the open-loop traffic/windows/slo/attribution
+    sections and the cluster replication section. The registry's
+    invariants are checked on "metrics" itself: the Table-I census sums
+    to query.response.count, per-tier hits stay within probes, ratio
+    gauges lie in [0, 1] (and match their counters when not merged),
+    quantiles are ordered, trace stages are known, flash and bad-block
+    books balance, and a cluster report answers one query per replica
+    dispatch.
 
 Exits non-zero (with a message) on any missing key, wrong type,
-implausible value, or gate its evidence contradicts. Internal
-consistency is checked too (per-tier hits + misses == probes, situation
-counts sum to the query count, quantiles ordered), not just key
-presence.
+implausible value, or gate its evidence contradicts. --self-test builds
+a small valid telemetry report, checks it is accepted, and checks that
+one seeded violation per invariant is rejected (the
+check_bench_json_selftest CTest).
 """
+import contextlib
+import copy
+import io
 import json
 import sys
 
@@ -68,9 +77,12 @@ ATTR_STAGES = TRACE_STAGES | {"queue_wait", "other"}
 SLO_STATES = {"ok", "warn", "breach"}
 
 
+class Invalid(Exception):
+    """An artifact broke its schema or one of its invariants."""
+
+
 def fail(msg):
-    print(f"check_bench_json: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
+    raise Invalid(msg)
 
 
 def require(cond, msg):
@@ -104,24 +116,6 @@ def check_quantiles(obj, ctx):
     require(obj["p50_us"] <= obj["p90_us"] <= obj["p99_us"],
             f"{ctx}: quantiles must be ordered p50 <= p90 <= p99 "
             f"({obj['p50_us']}, {obj['p90_us']}, {obj['p99_us']})")
-
-
-def check_tier(tier, ctx):
-    require(isinstance(tier, dict), f"{ctx}: must be an object")
-    for key in ("probes", "l1_hits", "l2_hits", "misses"):
-        require(isinstance(tier.get(key), int) and tier[key] >= 0,
-                f"{ctx}: '{key}' must be a non-negative integer")
-    require(tier["l1_hits"] + tier["l2_hits"] + tier["misses"]
-            == tier["probes"],
-            f"{ctx}: l1_hits + l2_hits + misses must equal probes")
-    ratio = tier.get("hit_ratio")
-    require(is_num(ratio) and 0.0 <= ratio <= 1.0,
-            f"{ctx}: 'hit_ratio' must be in [0, 1]")
-    if tier["probes"]:
-        derived = (tier["l1_hits"] + tier["l2_hits"]) / tier["probes"]
-        require(abs(derived - ratio) <= 1e-6,
-                f"{ctx}: hit_ratio {ratio} inconsistent with counts "
-                f"({derived:.6f})")
 
 
 def check_perf_driver(doc):
@@ -184,38 +178,6 @@ def check_breaker(br, ctx):
     if br["trips"] == 0:
         require(br["closes"] == 0 and br["reopens"] == 0,
                 f"{ctx}: closes/reopens without any trip")
-
-
-def check_faults(faults, ctx="faults"):
-    require(isinstance(faults, dict), f"'{ctx}' must be an object")
-    for key in ("ssd_read_errors", "hdd_read_errors"):
-        require(isinstance(faults.get(key), int) and faults[key] >= 0,
-                f"{ctx}: '{key}' must be a non-negative integer")
-    check_breaker(faults.get("breaker"), f"{ctx}.breaker")
-    for key in ("bypassed_probes", "bypassed_inserts"):
-        require(isinstance(faults["breaker"].get(key), int)
-                and faults["breaker"][key] >= 0,
-                f"{ctx}.breaker: '{key}' must be a non-negative integer")
-    if "flash" in faults:
-        fl = faults["flash"]
-        for key in ("read_retries", "uncorrectable_reads",
-                    "program_failures", "remapped_writes",
-                    "grown_bad_blocks"):
-            require(isinstance(fl.get(key), int) and fl[key] >= 0,
-                    f"{ctx}.flash: '{key}' must be a non-negative integer")
-        # BBM invariant: every injected program failure is salvaged by
-        # exactly one remap and retires exactly one block.
-        require(fl["program_failures"] == fl["remapped_writes"]
-                == fl["grown_bad_blocks"],
-                f"{ctx}.flash: program_failures ({fl['program_failures']}) "
-                f"!= remapped_writes ({fl['remapped_writes']}) or "
-                f"grown_bad_blocks ({fl['grown_bad_blocks']})")
-    if "hdd" in faults:
-        for key in ("read_uncs", "read_retries", "write_fails",
-                    "latency_spikes"):
-            require(isinstance(faults["hdd"].get(key), int)
-                    and faults["hdd"][key] >= 0,
-                    f"{ctx}.hdd: '{key}' must be a non-negative integer")
 
 
 # The ext_faults cell whose error burst must trip the breaker and let
@@ -901,114 +863,160 @@ def check_ext_replica(doc):
     }
 
 
+TELEMETRY_SCHEMA_VERSION = 2
+
+# Everything a run report may hold besides "metrics": the open-loop
+# traffic sections and the cluster replication section carry per-run
+# evidence the registry does not. Any other section would be a copy.
+TELEMETRY_SECTIONS = {"report", "schema_version", "run", "traffic",
+                      "windows", "slo", "attribution", "replication",
+                      "metrics"}
+
+
+def counter(metrics, name):
+    v = metrics.get(name)
+    require(isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+            f"metrics: '{name}' must be a non-negative integer counter")
+    return v
+
+
+def gauge(metrics, name):
+    g = metrics.get(name)
+    require(isinstance(g, dict)
+            and all(is_num(g.get(k)) for k in ("mean", "min", "max"))
+            and isinstance(g.get("samples"), int) and g["samples"] > 0,
+            f"metrics: '{name}' must be a gauge {{mean, min, max, "
+            "samples}")
+    return g
+
+
+def histogram(metrics, name):
+    h = metrics.get(name)
+    require(isinstance(h, dict) and isinstance(h.get("count"), int)
+            and h["count"] >= 0
+            and all(is_num(h.get(k)) and h[k] >= 0
+                    for k in ("mean", "p50", "p90", "p99")),
+            f"metrics: '{name}' must be a histogram {{count, mean, p50, "
+            "p90, p99}")
+    require(h["p50"] <= h["p90"] <= h["p99"],
+            f"metrics: '{name}' quantiles must be ordered p50 <= p90 <= "
+            f"p99 ({h['p50']}, {h['p90']}, {h['p99']})")
+    return h
+
+
+def check_ratio(metrics, name, part, whole):
+    """A ratio gauge lies in [0, 1]. A merged (cluster) snapshot sums
+    counters but keeps one gauge sample per source, so the gauge is
+    re-derived from its counters only when it has one sample."""
+    g = gauge(metrics, name)
+    require(0.0 <= g["min"] and g["max"] <= 1.0,
+            f"metrics: '{name}' must lie in [0, 1]")
+    if g["samples"] == 1 and whole > 0:
+        derived = part / whole
+        require(abs(g["mean"] - derived) <= 1e-6,
+                f"metrics: '{name}' {g['mean']} inconsistent with its "
+                f"counters ({derived:.6f})")
+
+
 def check_telemetry(doc, path):
-    require(doc.get("schema_version") == 1,
+    require(doc.get("schema_version") == TELEMETRY_SCHEMA_VERSION,
             f"unsupported schema_version {doc.get('schema_version')!r}")
     require(isinstance(doc.get("run"), str) and doc["run"],
             "'run' must be a non-empty string")
-    queries = doc.get("queries")
-    require(isinstance(queries, int) and queries > 0,
-            "'queries' must be a positive integer")
-    require(isinstance(doc.get("tracing"), bool), "'tracing' must be a bool")
+    extra = sorted(set(doc) - TELEMETRY_SECTIONS)
+    require(not extra,
+            f"unknown sections {extra}: a run report's numbers belong in "
+            "'metrics'")
+    m = doc.get("metrics")
+    require(isinstance(m, dict) and m,
+            "'metrics' must be a non-empty object (registry dump)")
 
-    sim = doc.get("simulated")
-    require(isinstance(sim, dict), "'simulated' must be an object")
-    require(is_num(sim.get("mean_response_us"))
-            and sim["mean_response_us"] >= 0,
-            "simulated: 'mean_response_us' must be non-negative")
-    require(is_num(sim.get("throughput_qps")) and sim["throughput_qps"] > 0,
-            "simulated: 'throughput_qps' must be positive")
-    check_quantiles(sim, "simulated")
-
-    stages = doc.get("stages")
-    require(isinstance(stages, dict), "'stages' must be an object")
-    if doc["tracing"]:
-        require(stages, "tracing is on but 'stages' is empty")
-    for name, st in stages.items():
-        require(name in TRACE_STAGES, f"unknown trace stage {name!r}")
-        ctx = f"stage '{name}'"
-        require(isinstance(st.get("count"), int) and st["count"] > 0,
-                f"{ctx}: 'count' must be a positive integer")
-        require(is_num(st.get("total_us")) and st["total_us"] >= 0,
-                f"{ctx}: 'total_us' must be non-negative")
-        require(is_num(st.get("mean_us")) and st["mean_us"] >= 0,
-                f"{ctx}: 'mean_us' must be non-negative")
-        check_quantiles(st, ctx)
-
-    situations = doc.get("situations")
-    require(isinstance(situations, list) and len(situations) == 9,
-            "'situations' must be a list of 9 entries (Table I S1-S9)")
+    # Table-I census: every answered query lands in one situation.
+    queries = counter(m, "query.response.count")
+    require(queries > 0, "metrics: 'query.response.count' must be "
+            "positive")
     census = 0
-    for i, s in enumerate(situations):
-        ctx = f"situation {i + 1}"
-        require(s.get("key") == f"s{i + 1}", f"{ctx}: key must be s{i + 1}")
-        require(isinstance(s.get("name"), str) and s["name"],
-                f"{ctx}: 'name' must be a non-empty string")
-        require(isinstance(s.get("count"), int) and s["count"] >= 0,
-                f"{ctx}: 'count' must be a non-negative integer")
-        require(is_num(s.get("mean_us")) and s["mean_us"] >= 0,
-                f"{ctx}: 'mean_us' must be non-negative")
-        census += s["count"]
+    for i in range(1, 10):
+        census += counter(m, f"query.situation.s{i}")
+        gauge(m, f"query.situation.s{i}.mean_us")
     require(census == queries,
-            f"situation counts sum to {census}, expected {queries}")
+            f"situation counts sum to {census}, expected "
+            f"query.response.count {queries}")
+    histogram(m, "query.response.us")
+    require(gauge(m, "query.throughput_qps")["mean"] > 0,
+            "metrics: 'query.throughput_qps' must be positive")
+    served_by = gauge(m, "index.materialized")
+    require(served_by["min"] in (0, 1) and served_by["max"] in (0, 1),
+            "metrics: 'index.materialized' must be 0 (analytic) or 1")
 
-    cache = doc.get("cache")
-    require(isinstance(cache, dict), "'cache' must be an object")
-    check_tier(cache.get("result"), "cache.result")
-    check_tier(cache.get("list"), "cache.list")
-    require(is_num(cache.get("combined_hit_ratio"))
-            and 0.0 <= cache["combined_hit_ratio"] <= 1.0,
-            "cache: 'combined_hit_ratio' must be in [0, 1]")
-    require(is_num(cache.get("request_coverage"))
-            and 0.0 <= cache["request_coverage"] <= 1.0,
-            "cache: 'request_coverage' must be in [0, 1]")
+    # Trace stages: known names, ordered quantiles, and (tracing on)
+    # one result probe per query.
+    stages = 0
+    for name in m:
+        if not name.startswith("trace."):
+            continue
+        stage = name.removeprefix("trace.").removesuffix(".us")
+        require(name == f"trace.{stage}.us" and stage in TRACE_STAGES,
+                f"unknown trace stage {name!r}")
+        if histogram(m, name)["count"] > 0:
+            stages += 1
+    probes_traced = histogram(m, "trace.result_probe.us")["count"]
+    require(probes_traced in (0, queries),
+            f"trace.result_probe.us counts {probes_traced} probes, "
+            f"expected 0 (tracing off) or {queries}")
 
-    flash = doc.get("flash")
-    require(isinstance(flash, dict), "'flash' must be an object")
-    require(isinstance(flash.get("present"), bool),
-            "flash: 'present' must be a bool")
-    if flash["present"]:
-        for key in ("host_reads", "host_writes", "host_trims",
-                    "gc_invocations", "gc_page_copies", "page_reads",
-                    "page_programs", "block_erases", "max_erase_count"):
-            require(isinstance(flash.get(key), int) and flash[key] >= 0,
-                    f"flash: '{key}' must be a non-negative integer")
-        for key in ("gc_busy_us", "write_amplification",
-                    "mean_erase_count"):
-            require(is_num(flash.get(key)) and flash[key] >= 0,
-                    f"flash: '{key}' must be non-negative")
-        if flash["host_writes"] > 0:
-            require(flash["write_amplification"] >= 1.0,
-                    "flash: write_amplification below 1 with host writes "
-                    "present")
+    # Per-tier cache accounting and the Fig. 14 ratios.
+    hits = probes = 0
+    for tier in ("result", "list"):
+        tier_probes = counter(m, f"cache.{tier}.probes")
+        tier_hits = (counter(m, f"cache.l1.{tier}.hits")
+                     + counter(m, f"cache.l2.{tier}.hits"))
+        require(tier_hits <= tier_probes,
+                f"cache.{tier}: l1 + l2 hits ({tier_hits}) exceed probes "
+                f"({tier_probes})")
+        check_ratio(m, f"cache.{tier}.hit_ratio", tier_hits, tier_probes)
+        hits += tier_hits
+        probes += tier_probes
+    check_ratio(m, "cache.hit_ratio", hits, probes)
+    check_ratio(m, "query.coverage.ratio",
+                counter(m, "query.coverage.covered"),
+                counter(m, "query.coverage.implied"))
+    # Stale results are found by probing; the probe total bounds them.
+    require(counter(m, "cache.stale.result_invalidations")
+            <= counter(m, "cache.result.probes"),
+            "cache.stale: more result invalidations than result probes")
 
-    if "faults" in doc:
-        check_faults(doc["faults"])
+    # A breaker can only half-open (and hence re-close or reopen) after
+    # a trip put it in the open state.
+    if counter(m, "cache.breaker.trips") == 0:
+        require(counter(m, "cache.breaker.closes") == 0
+                and counter(m, "cache.breaker.reopens") == 0,
+                "cache.breaker: closes/reopens without any trip")
 
-    if "ingest" in doc:
-        ing = doc["ingest"]
-        require(isinstance(ing, dict), "'ingest' must be an object")
-        for key in ("docs", "deletes", "delete_misses", "merges",
-                    "merged_terms", "merged_postings", "replayed_records",
-                    "replay_torn_bytes", "segment_postings",
-                    "segment_arena_bytes", "deleted_docs"):
-            require(isinstance(ing.get(key), int) and ing[key] >= 0,
-                    f"ingest: '{key}' must be a non-negative integer")
-        for key in ("apply_us", "merge_us"):
-            require(is_num(ing.get(key)) and ing[key] >= 0,
-                    f"ingest: '{key}' must be non-negative")
-        require(ing["deleted_docs"] <= ing["deletes"] + ing["docs"],
+    # Flash (runs with an SSD cache): every host write programs at least
+    # one page, and bad-block management salvages every injected program
+    # failure with exactly one remap that retires exactly one block.
+    if "ssd.cache.host.writes" in m:
+        require(counter(m, "ssd.cache.nand.page_programs")
+                >= counter(m, "ssd.cache.host.writes"),
+                "ssd.cache: fewer NAND page programs than host writes")
+        bbm = [counter(m, f"ssd.cache.faults.{k}")
+               for k in ("program_failures", "remapped_writes",
+                         "grown_bad_blocks")]
+        require(bbm[0] == bbm[1] == bbm[2],
+                f"ssd.cache.faults: program_failures ({bbm[0]}) != "
+                f"remapped_writes ({bbm[1]}) or grown_bad_blocks "
+                f"({bbm[2]})")
+
+    # Live index (DESIGN.md §12), present when ingest is enabled.
+    if "ingest.docs" in m:
+        touched = counter(m, "ingest.docs") + counter(m, "ingest.deletes")
+        tombstones = gauge(m, "ingest.deleted_docs")
+        require(tombstones["samples"] > 1 or tombstones["mean"] <= touched,
                 "ingest: more tombstones than documents ever touched")
-        if ing["merges"] == 0:
-            require(ing["merged_postings"] == 0,
+        if counter(m, "ingest.merges") == 0:
+            require(counter(m, "ingest.merged_postings") == 0,
                     "ingest: merged postings without any merge")
-        check_stale(ing.get("stale"), "ingest.stale")
-        # Stale results are found by probing; the probe totals bound it.
-        cache = doc.get("cache", {})
-        result_probes = cache.get("result", {}).get("probes", 0)
-        require(ing["stale"]["result_invalidations"] <= result_probes,
-                "ingest.stale: more result invalidations than result "
-                "probes")
 
     # Optional open-loop traffic sections (runs driven by run_traffic):
     # all four travel together.
@@ -1021,16 +1029,18 @@ def check_telemetry(doc, path):
         check_traffic_sections(doc)
 
     # Optional replication section (cluster runs; DESIGN.md §15).
+    # Its metrics cover the whole cluster, so every replica's answered
+    # dispatch is one query.response sample.
     if "replication" in doc:
-        check_replication_section(doc["replication"])
-
-    metrics = doc.get("metrics")
-    require(isinstance(metrics, dict) and metrics,
-            "'metrics' must be a non-empty object (registry dump)")
+        rep = doc["replication"]
+        check_replication_section(rep)
+        require(queries == rep["dispatches"],
+                f"query.response.count ({queries}) != replication "
+                f"dispatches ({rep['dispatches']})")
 
     print(f"check_bench_json: OK ({path}: telemetry report "
-          f"'{doc['run']}', {queries} queries, {len(stages)} stages, "
-          f"{len(metrics)} metrics)")
+          f"'{doc['run']}', {queries} queries, {stages} stages, "
+          f"{len(m)} metrics)")
 
 
 # Per bench: the body check, which returns the gates it can re-derive
@@ -1099,11 +1109,165 @@ def check_file(path):
              "telemetry report")
 
 
+# --- self-test -------------------------------------------------------------
+
+def _gauge(v, samples=1):
+    return {"mean": v, "min": v, "max": v, "samples": samples}
+
+
+def _hist(count, p50, p90, p99):
+    return {"count": count, "mean": p50, "p50": p50, "p90": p90,
+            "p99": p99}
+
+
+def _replication(dispatches):
+    return {"groups": 1, "replication_factor": 1, "policy_active": False,
+            "queries": 10, "dispatches": dispatches, "retries": 0,
+            "hedges": 0, "hedge_wins": 0, "failovers": 0,
+            "routing_changes": 0, "shards_dropped": 0, "shards_failed": 0,
+            "observed_faults": 0, "coverage_mean": 1.0,
+            "backoff_schedule_us": [],
+            "replicas": [{"slot": 0, "attempts": dispatches, "faults": 0,
+                          "breaker_trips": 0, "breaker_reopens": 0,
+                          "breaker_closes": 0, "breakers_open": 0,
+                          "ewma_us_mean": 100.0}]}
+
+
+# A small valid report: 10 queries on one system with an SSD cache, a
+# live index and a replication section whose 10 dispatches are the 10
+# answered queries.
+SAMPLE_REPORT = {
+    "report": "telemetry", "schema_version": 2, "run": "self_test",
+    "replication": _replication(10),
+    "metrics": {
+        "query.response.count": 10,
+        "query.response.us": _hist(10, 100.0, 200.0, 400.0),
+        "query.throughput_qps": _gauge(50.0),
+        "query.coverage.covered": 6, "query.coverage.implied": 12,
+        "query.coverage.ratio": _gauge(0.5),
+        "index.materialized": _gauge(1),
+        **{f"query.situation.s{i}": 2 if i == 1 else 1
+           for i in range(1, 10)},
+        **{f"query.situation.s{i}.mean_us": _gauge(100.0 * i)
+           for i in range(1, 10)},
+        "cache.result.probes": 10, "cache.l1.result.hits": 2,
+        "cache.l2.result.hits": 1, "cache.result.hit_ratio": _gauge(0.3),
+        "cache.list.probes": 20, "cache.l1.list.hits": 5,
+        "cache.l2.list.hits": 5, "cache.list.hit_ratio": _gauge(0.5),
+        "cache.hit_ratio": _gauge(13 / 30),
+        "cache.stale.result_invalidations": 1,
+        "cache.breaker.trips": 0, "cache.breaker.closes": 0,
+        "cache.breaker.reopens": 0,
+        "ssd.cache.host.writes": 8, "ssd.cache.nand.page_programs": 9,
+        "ssd.cache.faults.program_failures": 1,
+        "ssd.cache.faults.remapped_writes": 1,
+        "ssd.cache.faults.grown_bad_blocks": 1,
+        "ingest.docs": 3, "ingest.deletes": 1, "ingest.merges": 1,
+        "ingest.merged_postings": 7, "ingest.deleted_docs": _gauge(1.0),
+        "trace.result_probe.us": _hist(10, 1.0, 2.0, 3.0),
+        "trace.score.us": _hist(7, 50.0, 90.0, 99.0),
+    },
+}
+
+# (label, patch, words the rejection must name). A patch sets top-level
+# keys; its "metrics" entries update single metrics. The first patch
+# must be accepted: a merged snapshot's ratio gauge averages per-source
+# ratios and is not compared with the summed counters.
+SELF_TEST_PATCHES = [
+    ("merged ratio gauge", {"metrics": {
+        "cache.result.hit_ratio": {"mean": 0.9, "min": 0.8, "max": 1.0,
+                                   "samples": 2}}}, None),
+    ("hits above probes",
+     {"metrics": {"cache.l1.result.hits": 10}}, "exceed probes"),
+    ("census off the response count",
+     {"metrics": {"query.situation.s1": 3}}, "situation counts"),
+    ("program failure without its remap",
+     {"metrics": {"ssd.cache.faults.program_failures": 2}},
+     "program_failures"),
+    ("stale invalidations above probes",
+     {"metrics": {"cache.stale.result_invalidations": 11}},
+     "result invalidations"),
+    ("unknown trace stage",
+     {"metrics": {"trace.bogus.us": _hist(1, 1.0, 1.0, 1.0)}},
+     "unknown trace stage"),
+    ("quantiles out of order",
+     {"metrics": {"trace.score.us": _hist(7, 50.0, 120.0, 99.0)}},
+     "ordered"),
+    ("schema version 1", {"schema_version": 1}, "schema_version"),
+    ("hit ratio off its counters",
+     {"metrics": {"cache.list.hit_ratio": _gauge(0.9)}}, "inconsistent"),
+    ("coverage above 1",
+     {"metrics": {"query.coverage.ratio": _gauge(1.5)}}, "[0, 1]"),
+    ("page programs below host writes",
+     {"metrics": {"ssd.cache.nand.page_programs": 7}}, "page programs"),
+    ("breaker closes without a trip",
+     {"metrics": {"cache.breaker.closes": 1}}, "without any trip"),
+    ("tombstones above documents touched",
+     {"metrics": {"ingest.deleted_docs": _gauge(5.0)}}, "tombstones"),
+    ("merged postings without a merge",
+     {"metrics": {"ingest.merges": 0}}, "without any merge"),
+    ("throughput not positive",
+     {"metrics": {"query.throughput_qps": _gauge(0.0)}}, "throughput"),
+    ("probe traces off the query count",
+     {"metrics": {"trace.result_probe.us": _hist(9, 1.0, 2.0, 3.0)}},
+     "result_probe"),
+    ("dispatches off the response count",
+     {"replication": _replication(11)}, "dispatches"),
+    ("hand-copied section", {"cache": {}}, "unknown sections"),
+]
+
+
+def self_test():
+    """Accept SAMPLE_REPORT, then check each patch: accepted when it
+    names no words, else rejected for a reason naming them."""
+    def verdict(doc):
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                check_telemetry(doc, "<self-test>")
+        except Invalid as e:
+            return str(e)
+        return None
+
+    failures = []
+    err = verdict(copy.deepcopy(SAMPLE_REPORT))
+    if err is not None:
+        failures.append(f"valid report rejected: {err}")
+    for label, patch, words in SELF_TEST_PATCHES:
+        doc = copy.deepcopy(SAMPLE_REPORT)
+        for key, value in patch.items():
+            if key == "metrics":
+                doc["metrics"].update(value)
+            else:
+                doc[key] = value
+        err = verdict(doc)
+        if words is None and err is not None:
+            failures.append(f"{label}: rejected: {err}")
+        elif words is not None and err is None:
+            failures.append(f"{label}: accepted")
+        elif words is not None and words not in err:
+            failures.append(f"{label}: rejected for another reason: {err}")
+    for f in failures:
+        print(f"self-test FAIL: {f}")
+    if failures:
+        return 1
+    print(f"self-test OK: valid report accepted, {len(SELF_TEST_PATCHES)} "
+          "patches judged as seeded")
+    return 0
+
+
 def main():
-    if len(sys.argv) < 2:
-        fail("usage: check_bench_json.py <file.json> [more.json ...]")
-    for path in sys.argv[1:]:
-        check_file(path)
+    args = sys.argv[1:]
+    if args == ["--self-test"]:
+        sys.exit(self_test())
+    try:
+        if not args:
+            fail("usage: check_bench_json.py <file.json> [more.json ...] "
+                 "| --self-test")
+        for path in args:
+            check_file(path)
+    except Invalid as e:
+        print(f"check_bench_json: FAIL: {e}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

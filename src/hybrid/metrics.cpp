@@ -74,8 +74,12 @@ void RunMetrics::register_into(telemetry::MetricsRegistry& registry,
   registry.stats(prefix + ".response", &responses_);
   registry.histogram(prefix + ".response.us", &hist_);
   for (std::size_t i = 0; i < kNumSituations; ++i) {
-    registry.counter(prefix + ".situation.s" + std::to_string(i + 1),
-                     &counts_[i]);
+    const std::string situation =
+        prefix + ".situation.s" + std::to_string(i + 1);
+    registry.counter(situation, &counts_[i]);
+    registry.gauge(situation + ".mean_us", [this, i] {
+      return situation_mean_time(static_cast<Situation>(i)).value();
+    });
   }
   registry.counter(prefix + ".coverage.covered", &covered_requests_);
   registry.counter(prefix + ".coverage.implied", &implied_requests_);

@@ -108,9 +108,9 @@ class RunMetrics {
   double throughput_qps(Micros background_time) const;
 
   /// Expose the accumulators under `prefix` ("query" gives
-  /// query.response.*, query.situation.s1..s9, query.coverage.*). The
-  /// registry keeps pointers into this object, which must therefore
-  /// outlive it and stay at a fixed address.
+  /// query.response.*, query.situation.s1..s9 and their .mean_us,
+  /// query.coverage.*). The registry keeps pointers into this object,
+  /// which must therefore outlive it and stay at a fixed address.
   void register_into(telemetry::MetricsRegistry& registry,
                      const std::string& prefix) const;
 

@@ -3,26 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "src/telemetry/json_writer.hpp"
+
 namespace ssdse {
 
 namespace {
-
-void append_tier_block(telemetry::JsonWriter& w, std::uint64_t probes,
-                       std::uint64_t l1_hits, std::uint64_t l2_hits,
-                       double hit_ratio) {
-  w.begin_object();
-  w.key("probes");
-  w.value(probes);
-  w.key("l1_hits");
-  w.value(l1_hits);
-  w.key("l2_hits");
-  w.value(l2_hits);
-  w.key("misses");
-  w.value(probes - l1_hits - l2_hits);
-  w.key("hit_ratio");
-  w.value(hit_ratio);
-  w.end_object();
-}
 
 void append_quantiles(telemetry::JsonWriter& w, const LatencyHistogram& h) {
   w.key("p50_us");
@@ -288,8 +273,6 @@ void append_replication_json(telemetry::JsonWriter& w,
   w.end_object();
 }
 
-}  // namespace
-
 void append_registry_json(telemetry::JsonWriter& w,
                           const telemetry::RegistrySnapshot& snap) {
   w.begin_object();
@@ -330,241 +313,24 @@ void append_registry_json(telemetry::JsonWriter& w,
   w.end_object();
 }
 
-std::string render_run_report(const SearchSystem& sys,
-                              const std::string& run_name,
+}  // namespace
+
+std::string render_run_report(const std::string& run_name,
+                              const telemetry::RegistrySnapshot& metrics,
                               const TrafficResult* traffic,
                               const ReplicationSnapshot* replication) {
-  using telemetry::TraceStage;
   telemetry::JsonWriter w;
-  const RunMetrics& rm = sys.metrics();
-  const CacheManagerStats& cs = sys.cache_manager().stats();
-
   w.begin_object();
   w.key("report");
   w.value("telemetry");
   w.key("schema_version");
-  w.value(std::uint64_t{1});
+  w.value(std::uint64_t{2});
   w.key("run");
   w.value(run_name);
-  w.key("queries");
-  w.value(rm.queries());
-  w.key("tracing");
-  w.value(sys.tracer().enabled());
-
-  w.key("simulated");
-  w.begin_object();
-  w.key("mean_response_us");
-  w.value(rm.mean_response().value());
-  append_quantiles(w, rm.histogram());
-  w.key("throughput_qps");
-  w.value(sys.throughput_qps());
-  w.key("background_flash_us");
-  w.value(sys.background_flash_time().value());
-  w.end_object();
-
-  // Per-stage trace summary. Stages a run never touched are omitted;
-  // with tracing compiled out or disabled the object is empty.
-  w.key("stages");
-  w.begin_object();
-  const telemetry::QueryTracer& tracer = sys.tracer();
-  for (std::size_t i = 0; i < telemetry::kNumTraceStages; ++i) {
-    const auto stage = static_cast<TraceStage>(i);
-    const StreamingStats& st = tracer.stage_stats(stage);
-    if (st.count() == 0) continue;
-    w.key(telemetry::to_string(stage));
-    w.begin_object();
-    w.key("count");
-    w.value(st.count());
-    w.key("total_us");
-    w.value(st.sum());
-    w.key("mean_us");
-    w.value(st.mean());
-    append_quantiles(w, tracer.stage_hist(stage));
-    w.end_object();
-  }
-  w.end_object();
-
-  // Table-I situation census.
-  w.key("situations");
-  w.begin_array();
-  for (std::size_t i = 0; i < kNumSituations; ++i) {
-    const auto s = static_cast<Situation>(i);
-    w.begin_object();
-    char key[8];
-    std::snprintf(key, sizeof(key), "s%zu", i + 1);
-    w.key("key");
-    w.value(key);
-    w.key("name");
-    w.value(to_string(s));
-    w.key("count");
-    w.value(rm.situation_count(s));
-    w.key("mean_us");
-    w.value(rm.situation_mean_time(s).value());
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("cache");
-  w.begin_object();
-  w.key("result");
-  append_tier_block(w, cs.result_lookups, cs.result_hits_mem,
-                    cs.result_hits_ssd, cs.result_hit_ratio());
-  w.key("list");
-  append_tier_block(w, cs.list_lookups, cs.list_hits_mem, cs.list_hits_ssd,
-                    cs.list_hit_ratio());
-  w.key("combined_hit_ratio");
-  w.value(cs.hit_ratio());
-  w.key("request_coverage");
-  w.value(rm.request_coverage());
-  w.end_object();
-
-  w.key("flash");
-  w.begin_object();
-  const Ssd* ssd = sys.cache_ssd();
-  w.key("present");
-  w.value(ssd != nullptr);
-  if (ssd != nullptr) {
-    const FtlStats& fs = ssd->ftl().stats();
-    const NandStats& ns = ssd->nand().stats();
-    w.key("host_reads");
-    w.value(fs.host_reads);
-    w.key("host_writes");
-    w.value(fs.host_writes);
-    w.key("host_trims");
-    w.value(fs.host_trims);
-    w.key("gc_invocations");
-    w.value(fs.gc_invocations);
-    w.key("gc_page_copies");
-    w.value(fs.gc_page_copies);
-    w.key("gc_busy_us");
-    w.value(fs.gc_busy.value());
-    w.key("page_reads");
-    w.value(ns.page_reads);
-    w.key("page_programs");
-    w.value(ns.page_programs);
-    w.key("block_erases");
-    w.value(ns.block_erases);
-    w.key("write_amplification");
-    w.value(fs.write_amplification(ns));
-    w.key("mean_erase_count");
-    w.value(ssd->nand().mean_erase_count());
-    w.key("max_erase_count");
-    w.value(static_cast<std::uint64_t>(ssd->nand().max_erase_count()));
-  }
-  w.end_object();
-
-  // Fault injection & graceful degradation (DESIGN.md §10). All-zero
-  // (and breaker "closed") in a fault-free run.
-  w.key("faults");
-  w.begin_object();
-  w.key("ssd_read_errors");
-  w.value(cs.ssd_read_errors);
-  w.key("hdd_read_errors");
-  w.value(cs.hdd_read_errors);
-  const CircuitBreaker& br = sys.cache_manager().breaker();
-  w.key("breaker");
-  w.begin_object();
-  w.key("state");
-  w.value(CircuitBreaker::to_string(br.state()));
-  w.key("trips");
-  w.value(br.stats().trips);
-  w.key("reopens");
-  w.value(br.stats().reopens);
-  w.key("closes");
-  w.value(br.stats().closes);
-  w.key("bypassed_ops");
-  w.value(br.stats().bypassed_ops);
-  w.key("bypassed_probes");
-  w.value(cs.breaker_bypassed_probes);
-  w.key("bypassed_inserts");
-  w.value(cs.breaker_bypassed_inserts);
-  w.end_object();
-  if (ssd != nullptr) {
-    const FtlStats& fs = ssd->ftl().stats();
-    w.key("flash");
-    w.begin_object();
-    w.key("read_retries");
-    w.value(fs.read_retries);
-    w.key("uncorrectable_reads");
-    w.value(fs.uncorrectable_reads);
-    w.key("program_failures");
-    w.value(fs.program_failures);
-    w.key("remapped_writes");
-    w.value(fs.remapped_writes);
-    w.key("grown_bad_blocks");
-    w.value(fs.grown_bad_blocks);
-    w.end_object();
-  }
-  if (const FaultyDevice* fh = sys.faulty_hdd()) {
-    const FaultyDeviceStats& hf = fh->fault_stats();
-    w.key("hdd");
-    w.begin_object();
-    w.key("read_uncs");
-    w.value(hf.read_uncs);
-    w.key("read_retries");
-    w.value(hf.read_retries);
-    w.key("write_fails");
-    w.value(hf.write_fails);
-    w.key("latency_spikes");
-    w.value(hf.latency_spikes);
-    w.end_object();
-  }
-  w.end_object();
-
-  // Live index (DESIGN.md §12). Present only when cfg.ingest.enabled.
-  if (const ingest::LiveIndex* li = sys.live_index()) {
-    const IngestStats& is = sys.ingest_stats();
-    w.key("ingest");
-    w.begin_object();
-    w.key("docs");
-    w.value(is.docs);
-    w.key("deletes");
-    w.value(is.deletes);
-    w.key("delete_misses");
-    w.value(is.delete_misses);
-    w.key("merges");
-    w.value(is.merges);
-    w.key("merged_terms");
-    w.value(is.merged_terms);
-    w.key("merged_postings");
-    w.value(is.merged_postings);
-    w.key("replayed_records");
-    w.value(is.replayed_records);
-    w.key("replay_torn_bytes");
-    w.value(is.replay_torn_bytes);
-    w.key("apply_us");
-    w.value(is.apply_time.value());
-    w.key("merge_us");
-    w.value(is.merge_time.value());
-    w.key("segment_postings");
-    w.value(li->segment().total_postings());
-    w.key("segment_arena_bytes");
-    w.value(li->segment().arena_bytes());
-    w.key("deleted_docs");
-    w.value(li->deleted_docs());
-    w.key("stale");
-    w.begin_object();
-    w.key("result_invalidations");
-    w.value(cs.stale_result_invalidations);
-    w.key("list_invalidations");
-    w.value(cs.stale_list_invalidations);
-    w.key("ssd_result_misses");
-    w.value(cs.stale_ssd_result_misses);
-    w.key("ssd_list_misses");
-    w.value(cs.stale_ssd_list_misses);
-    const SsdListCache* slc = sys.cache_manager().ssd_lists();
-    w.key("ssd_list_marks");
-    w.value(slc != nullptr ? slc->stats().stale_marks : std::uint64_t{0});
-    w.end_object();
-    w.end_object();
-  }
-
   if (traffic != nullptr) append_traffic_json(w, *traffic);
   if (replication != nullptr) append_replication_json(w, *replication);
-
   w.key("metrics");
-  append_registry_json(w, sys.telemetry_registry().snapshot());
-
+  append_registry_json(w, metrics);
   w.end_object();
   return w.str();
 }
@@ -574,13 +340,6 @@ bool write_json_file(const std::string& path, const std::string& json) {
   if (f == nullptr) return false;
   const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   return std::fclose(f) == 0 && ok;
-}
-
-bool write_run_report(const SearchSystem& sys, const std::string& run_name,
-                      const std::string& path, const TrafficResult* traffic,
-                      const ReplicationSnapshot* replication) {
-  return write_json_file(
-      path, render_run_report(sys, run_name, traffic, replication));
 }
 
 }  // namespace ssdse

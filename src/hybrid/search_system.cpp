@@ -287,6 +287,12 @@ void SearchSystem::register_telemetry() {
     }
   }
 
+  // Which scorer served the queries: the measured pass over a
+  // MaterializedIndex's postings (1) or the analytic cost model (0).
+  r.gauge_value("index.materialized",
+                dynamic_cast<const MaterializedIndex*>(index_) != nullptr
+                    ? 1.0
+                    : 0.0);
   if (owned_index_) {
     r.gauge_value("index.model.build_ms",
                   static_cast<const AnalyticIndex*>(owned_index_.get())
@@ -306,6 +312,7 @@ void SearchSystem::register_telemetry() {
   });
 
   metrics_.register_into(r, "query");
+  r.gauge("query.throughput_qps", [this] { return throughput_qps(); });
 
   for (std::size_t i = 0; i < telemetry::kNumTraceStages; ++i) {
     const auto stage = static_cast<TraceStage>(i);

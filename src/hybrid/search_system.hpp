@@ -19,7 +19,7 @@
 
 namespace ssdse {
 
-/// Live-index accounting (run report "ingest" section).
+/// Live-index accounting (the ingest.* metrics).
 struct IngestStats {
   std::uint64_t docs = 0;          // documents ingested
   std::uint64_t deletes = 0;       // documents tombstoned

@@ -44,7 +44,6 @@ void QueryTracer::end_query(Micros total) {
   for (std::size_t i = 0; i < kNumTraceStages; ++i) {
     if (!(current_.touched & (1u << i))) continue;
     hists_[i].add(current_.stage_us[i]);
-    stats_[i].add(current_.stage_us[i]);
   }
   ++traced_;
   if (ring_.size() < ring_capacity_) {
@@ -73,7 +72,6 @@ std::vector<QueryTrace> QueryTracer::recent() const {
 void QueryTracer::merge_aggregates(const QueryTracer& other) {
   for (std::size_t i = 0; i < kNumTraceStages; ++i) {
     hists_[i].merge(other.hists_[i]);
-    stats_[i].merge(other.stats_[i]);
   }
   traced_ += other.traced_;
 }
@@ -81,10 +79,7 @@ void QueryTracer::merge_aggregates(const QueryTracer& other) {
 void QueryTracer::clear() {
   traced_ = 0;
   current_ = QueryTrace{};
-  for (std::size_t i = 0; i < kNumTraceStages; ++i) {
-    hists_[i] = LatencyHistogram{};
-    stats_[i].reset();
-  }
+  hists_.fill(LatencyHistogram{});
   ring_.clear();
   ring_next_ = 0;
   ring_full_ = false;

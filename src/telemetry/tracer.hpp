@@ -3,10 +3,9 @@
 // A query's simulated latency is the sum of stage costs the engine adds
 // to its `Micros` accumulator (result probe, per-tier list fetches,
 // scoring) plus background flash work it triggers. The tracer attributes
-// those microseconds to a fixed span taxonomy and keeps (a) per-stage
-// LatencyHistogram + StreamingStats aggregates for the whole run and
-// (b) a bounded ring buffer of complete per-query traces for tail
-// inspection.
+// those microseconds to a fixed span taxonomy and keeps (a) one
+// per-stage LatencyHistogram for the whole run and (b) a bounded ring
+// buffer of complete per-query traces for tail inspection.
 //
 // The one switch is `set_enabled`: with it off, instrumentation reduces
 // to one branch per span site.
@@ -63,7 +62,6 @@ class QueryTracer {
   explicit QueryTracer(std::size_t ring_capacity = 1024);
 
   void set_enabled(bool on) { enabled_ = on; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
 
   void begin_query(QueryId qid);
 
@@ -80,9 +78,6 @@ class QueryTracer {
 
   const LatencyHistogram& stage_hist(TraceStage s) const {
     return hists_[static_cast<std::size_t>(s)];
-  }
-  const StreamingStats& stage_stats(TraceStage s) const {
-    return stats_[static_cast<std::size_t>(s)];
   }
 
   /// Ring contents, oldest first. At most `ring_capacity` traces.
@@ -107,7 +102,6 @@ class QueryTracer {
   std::uint64_t traced_ = 0;
   QueryTrace current_;
   std::array<LatencyHistogram, kNumTraceStages> hists_;
-  std::array<StreamingStats, kNumTraceStages> stats_;
   std::vector<QueryTrace> ring_;
   std::size_t ring_capacity_;
   std::size_t ring_next_ = 0;

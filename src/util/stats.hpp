@@ -56,6 +56,8 @@ class LatencyHistogram {
   /// exit from the `Micros` unit into bucket space.
   void add(Micros x) { add(x.value()); }
   [[nodiscard]] std::uint64_t count() const { return total_; }
+  /// Sum of every added value, in the order added.
+  [[nodiscard]] double sum() const { return sum_; }
   double quantile(double q) const;  // q in [0,1]
   [[nodiscard]] double mean() const {
     return total_ ? sum_ / static_cast<double>(total_) : 0.0;

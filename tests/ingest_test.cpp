@@ -471,7 +471,7 @@ TEST(IngestSystemTest, ChurnedSystemMatchesOracleSystem) {
   }
 }
 
-TEST(IngestSystemTest, RunReportCarriesIngestSection) {
+TEST(IngestSystemTest, RunReportCarriesIngestMetrics) {
   const CorpusConfig cc = small_corpus();
   Rng rng(cc.seed);
   MaterializedCorpus corpus(cc, rng);
@@ -480,19 +480,24 @@ TEST(IngestSystemTest, RunReportCarriesIngestSection) {
   SearchSystem sys(cfg, index, corpus);
   (void)sys.ingest_document({{TermId{1}, 2}, {TermId{3}, 1}});
   (void)sys.execute(sys.generator().next());
-  const std::string json = render_run_report(sys, "ingest_unit");
-  EXPECT_NE(json.find("\"ingest\""), std::string::npos);
-  EXPECT_NE(json.find("\"segment_postings\""), std::string::npos);
-  EXPECT_NE(json.find("\"stale\""), std::string::npos);
-  EXPECT_NE(json.find("ingest.docs"), std::string::npos);
+  const auto snap = sys.telemetry_registry().snapshot();
+  const std::string json = render_run_report("ingest_unit", snap);
+  EXPECT_NE(json.find(R"("ingest.docs":1)"), std::string::npos);
+  EXPECT_NE(json.find(R"("ingest.segment.postings":{)"), std::string::npos);
+  EXPECT_NE(json.find(R"("cache.stale.result_invalidations")"),
+            std::string::npos);
+  // A MaterializedIndex served the queries.
+  ASSERT_NE(snap.find("index.materialized"), nullptr);
+  EXPECT_EQ(snap.find("index.materialized")->gauge.mean(), 1.0);
 
-  // No section (and no ingest.* metrics) when the subsystem is off.
+  // No ingest.* metrics when the subsystem is off.
   MaterializedIndex plain_index(corpus);
   SystemConfig off = ingest_system(cc);
   off.ingest.enabled = false;
   SearchSystem plain(off, plain_index);
-  const std::string plain_json = render_run_report(plain, "plain_unit");
-  EXPECT_EQ(plain_json.find("\"ingest\""), std::string::npos);
+  const std::string plain_json =
+      render_run_report("plain_unit", plain.telemetry_registry().snapshot());
+  EXPECT_EQ(plain_json.find(R"("ingest.)"), std::string::npos);
 }
 
 }  // namespace

@@ -215,9 +215,9 @@ TEST(TracerTest, SpansAccumulateAndFeedAggregates) {
   EXPECT_TRUE(recent[0].touched_stage(TraceStage::kListFetchHdd));
   EXPECT_FALSE(recent[0].touched_stage(TraceStage::kScore));
   // Untouched stages contribute nothing to aggregates.
-  EXPECT_EQ(t.stage_stats(TraceStage::kScore).count(), 0u);
-  EXPECT_EQ(t.stage_stats(TraceStage::kListFetchHdd).count(), 1u);
-  EXPECT_DOUBLE_EQ(t.stage_stats(TraceStage::kListFetchHdd).mean(), 8000.0);
+  EXPECT_EQ(t.stage_hist(TraceStage::kScore).count(), 0u);
+  EXPECT_EQ(t.stage_hist(TraceStage::kListFetchHdd).count(), 1u);
+  EXPECT_DOUBLE_EQ(t.stage_hist(TraceStage::kListFetchHdd).sum(), 8000.0);
   EXPECT_EQ(t.stage_hist(TraceStage::kResultProbe).count(), 1u);
 }
 
@@ -235,7 +235,7 @@ TEST(TracerTest, RingKeepsNewestOldestFirst) {
   EXPECT_EQ(recent[1].query, QueryId{8});
   EXPECT_EQ(recent[2].query, QueryId{9});
   // Aggregates still cover all 10 queries.
-  EXPECT_EQ(t.stage_stats(TraceStage::kScore).count(), 10u);
+  EXPECT_EQ(t.stage_hist(TraceStage::kScore).count(), 10u);
 }
 
 TEST(TracerTest, DisabledRecordsNothing) {
@@ -246,7 +246,7 @@ TEST(TracerTest, DisabledRecordsNothing) {
   t.end_query(micros(5.0));
   EXPECT_EQ(t.queries_traced(), 0u);
   EXPECT_TRUE(t.recent().empty());
-  EXPECT_EQ(t.stage_stats(TraceStage::kScore).count(), 0u);
+  EXPECT_EQ(t.stage_hist(TraceStage::kScore).count(), 0u);
 }
 
 TEST(TracerTest, MergeAggregatesFoldsShards) {
@@ -259,9 +259,8 @@ TEST(TracerTest, MergeAggregatesFoldsShards) {
   b.end_query(micros(300.0));
   a.merge_aggregates(b);
   EXPECT_EQ(a.queries_traced(), 2u);
-  EXPECT_EQ(a.stage_stats(TraceStage::kScore).count(), 2u);
-  EXPECT_DOUBLE_EQ(a.stage_stats(TraceStage::kScore).mean(), 200.0);
   EXPECT_EQ(a.stage_hist(TraceStage::kScore).count(), 2u);
+  EXPECT_DOUBLE_EQ(a.stage_hist(TraceStage::kScore).mean(), 200.0);
   // Ring buffers are per-shard: merge does not import b's traces.
   EXPECT_EQ(a.recent().size(), 1u);
 }
@@ -276,7 +275,7 @@ TEST(TracerTest, ClearResetsEverything) {
   t.clear();
   EXPECT_EQ(t.queries_traced(), 0u);
   EXPECT_TRUE(t.recent().empty());
-  EXPECT_EQ(t.stage_stats(TraceStage::kResultProbe).count(), 0u);
+  EXPECT_EQ(t.stage_hist(TraceStage::kResultProbe).count(), 0u);
   // Still usable after clear.
   t.begin_query(QueryId{9});
   t.add_span(TraceStage::kResultProbe, micros(2.0));
@@ -320,11 +319,20 @@ TEST(SystemTelemetryTest, RegistryAgreesWithCacheStats) {
   EXPECT_EQ(snap.find("cache.list.probes")->counter, cs.list_lookups);
   EXPECT_EQ(snap.find("query.response.count")->counter,
             system.metrics().queries());
-  // Hits never exceed probes; the CI smoke asserts the same invariant on
-  // the emitted report.
+  // Hits never exceed probes; the validator asserts the same invariant
+  // on every emitted report.
   EXPECT_LE(snap.find("cache.l1.result.hits")->counter +
                 snap.find("cache.l2.result.hits")->counter,
             snap.find("cache.result.probes")->counter);
+  // The values a run report used to compute itself are gauges now.
+  EXPECT_DOUBLE_EQ(snap.find("query.throughput_qps")->gauge.mean(),
+                   system.throughput_qps());
+  EXPECT_DOUBLE_EQ(
+      snap.find("query.situation.s9.mean_us")->gauge.mean(),
+      system.metrics().situation_mean_time(Situation::kS9_ListsHdd).value());
+  // An analytic index served the queries.
+  ASSERT_NE(snap.find("index.materialized"), nullptr);
+  EXPECT_EQ(snap.find("index.materialized")->gauge.mean(), 0.0);
 }
 
 TEST(SystemTelemetryTest, TracerCoversEveryQuery) {
@@ -333,9 +341,9 @@ TEST(SystemTelemetryTest, TracerCoversEveryQuery) {
   EXPECT_EQ(system.tracer().queries_traced(), 1'200u);
   // Every query probes the result cache and its trace total matches the
   // simulated response distribution.
-  EXPECT_EQ(system.tracer().stage_stats(TraceStage::kResultProbe).count(),
+  EXPECT_EQ(system.tracer().stage_hist(TraceStage::kResultProbe).count(),
             1'200u);
-  EXPECT_GT(system.tracer().stage_stats(TraceStage::kScore).count(), 0u);
+  EXPECT_GT(system.tracer().stage_hist(TraceStage::kScore).count(), 0u);
 }
 
 TEST(SystemTelemetryTest, SetTracingFalseStopsRecording) {
@@ -349,17 +357,23 @@ TEST(SystemTelemetryTest, SetTracingFalseStopsRecording) {
 TEST(SystemTelemetryTest, RunReportRendersValidSkeleton) {
   SearchSystem system(small_system());
   system.run(1'000);
-  const std::string json = render_run_report(system, "unit");
+  const std::string json =
+      render_run_report("unit", system.telemetry_registry().snapshot());
   // Spot-check the schema markers the validator keys on. Full schema
-  // validation happens in CI via scripts/check_bench_json.py.
+  // validation happens in tier-1 via scripts/check_bench_json.py.
   EXPECT_NE(json.find(R"("report":"telemetry")"), std::string::npos);
-  EXPECT_NE(json.find(R"("schema_version":1)"), std::string::npos);
+  EXPECT_NE(json.find(R"("schema_version":2)"), std::string::npos);
   EXPECT_NE(json.find(R"("run":"unit")"), std::string::npos);
-  EXPECT_NE(json.find(R"("queries":1000)"), std::string::npos);
-  EXPECT_NE(json.find(R"("situations":[)"), std::string::npos);
-  EXPECT_NE(json.find(R"("key":"s9")"), std::string::npos);
-  EXPECT_NE(json.find(R"("cache":{)"), std::string::npos);
   EXPECT_NE(json.find(R"("metrics":{)"), std::string::npos);
+  EXPECT_NE(json.find(R"("query.response.count":1000)"), std::string::npos);
+  EXPECT_NE(json.find(R"("query.situation.s9.mean_us":{)"),
+            std::string::npos);
+  // Every number comes from the registry: no hand-copied sections.
+  for (const char* copy : {R"("simulated")", R"("stages")",
+                           R"("situations")", R"("cache")", R"("flash")",
+                           R"("faults")", R"("queries")"}) {
+    EXPECT_EQ(json.find(copy), std::string::npos) << copy;
+  }
   // Balanced braces (cheap structural sanity without a JSON parser).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
