@@ -41,31 +41,13 @@ void BM_ZipfSample(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfSample)->Arg(100'000)->Arg(1'000'000)->Arg(100'000'000);
 
-// Alias-method counterpart of BM_ZipfSample
-// (QueryLogConfig::alias_sampler opts the generator in). Measured at
-// -O2 on the reference box: ~2x faster than rejection-inversion while
-// the O(n) prob/alias tables fit in cache (~10 ns vs ~25 ns per sample
-// up to n = 100k), crossing over once they spill to DRAM (~34 ns vs
-// ~27 ns at n = 1M) — two dependent random loads lose to pure compute.
-// The 100M-rank arg is omitted: a 1.2 GB table is not a sampler.
-void BM_AliasZipfSample(benchmark::State& state) {
-  AliasZipfSampler zipf(state.range(0), 0.9);
-  Rng rng(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(zipf.sample(rng));
-  }
-}
-BENCHMARK(BM_AliasZipfSample)->Arg(100'000)->Arg(1'000'000);
-
 void BM_QueryGeneration(benchmark::State& state) {
-  QueryLogConfig cfg;
-  cfg.alias_sampler = state.range(0) != 0;
-  QueryLogGenerator gen(cfg);
+  QueryLogGenerator gen(QueryLogConfig{});
   for (auto _ : state) {
     benchmark::DoNotOptimize(gen.next());
   }
 }
-BENCHMARK(BM_QueryGeneration)->Arg(0)->Arg(1);
+BENCHMARK(BM_QueryGeneration);
 
 void BM_MemResultCacheInsert(benchmark::State& state) {
   MemResultCache cache(10 * MiB);

@@ -44,7 +44,7 @@ Two document shapes are recognized:
     beside it sit only the open-loop traffic/windows/slo/attribution
     sections and the cluster replication section. The registry's
     invariants are checked on "metrics" itself: the Table-I census sums
-    to query.response.count, per-tier hits stay within probes, ratio
+    to the query.response.us count, per-tier hits stay within probes, ratio
     gauges lie in [0, 1] (and match their counters when not merged),
     quantiles are ordered, trace stages are known, flash and bad-block
     books balance, and a cluster report answers one query per replica
@@ -932,8 +932,8 @@ def check_telemetry(doc, path):
             "'metrics' must be a non-empty object (registry dump)")
 
     # Table-I census: every answered query lands in one situation.
-    queries = counter(m, "query.response.count")
-    require(queries > 0, "metrics: 'query.response.count' must be "
+    queries = histogram(m, "query.response.us")["count"]
+    require(queries > 0, "metrics: 'query.response.us' count must be "
             "positive")
     census = 0
     for i in range(1, 10):
@@ -941,8 +941,7 @@ def check_telemetry(doc, path):
         gauge(m, f"query.situation.s{i}.mean_us")
     require(census == queries,
             f"situation counts sum to {census}, expected "
-            f"query.response.count {queries}")
-    histogram(m, "query.response.us")
+            f"the query.response.us count {queries}")
     require(gauge(m, "query.throughput_qps")["mean"] > 0,
             "metrics: 'query.throughput_qps' must be positive")
     served_by = gauge(m, "index.materialized")
@@ -1035,7 +1034,7 @@ def check_telemetry(doc, path):
         rep = doc["replication"]
         check_replication_section(rep)
         require(queries == rep["dispatches"],
-                f"query.response.count ({queries}) != replication "
+                f"query.response.us count ({queries}) != replication "
                 f"dispatches ({rep['dispatches']})")
 
     print(f"check_bench_json: OK ({path}: telemetry report "
@@ -1140,7 +1139,6 @@ SAMPLE_REPORT = {
     "report": "telemetry", "schema_version": 2, "run": "self_test",
     "replication": _replication(10),
     "metrics": {
-        "query.response.count": 10,
         "query.response.us": _hist(10, 100.0, 200.0, 400.0),
         "query.throughput_qps": _gauge(50.0),
         "query.coverage.covered": 6, "query.coverage.implied": 12,

@@ -111,7 +111,7 @@ def check_unordered_iter(path: Path, lines: list[str], report) -> None:
 # --- rules: metric-name / metric-dup ----------------------------------------
 
 REGISTER_RE = re.compile(
-    r"\.(counter|counter_fn|gauge|gauge_value|histogram|stats)\s*\(")
+    r"\.(counter|counter_fn|gauge|gauge_value|histogram)\s*\(")
 FULL_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 SUFFIX_NAME_RE = re.compile(r"^(\.[a-z0-9_]+)+$")
 # A literal piece of a concatenated name ("trace." + to_string(stage) +

@@ -27,11 +27,12 @@ DaatIndex::DaatIndex(const MaterializedIndex& index)
       generation_(index.generation()),
       blocks_(block_kind(index)) {
   const double n_docs = static_cast<double>(index.base_docs());
+  std::vector<Posting> by_doc;
   for (TermId t{}; t.raw() < index.vocab_size(); ++t) {
-    const DocSortedList list(*index.postings(t));
-    const double idf = daat_idf(n_docs, list.size());
-    doc_sorted_.add_list(list.postings(), idf);
-    blocks_.add_list(list.postings(), idf);
+    to_doc_order(index.postings(t)->postings(), by_doc);
+    const double idf = daat_idf(n_docs, by_doc.size());
+    doc_sorted_.add_list(by_doc, idf);
+    blocks_.add_list(by_doc, idf);
   }
 }
 
@@ -54,26 +55,6 @@ bool DaatIndex::live_doc_sorted(TermId t,
   // doc-ascending, so appending preserves doc order.
   overlay->collect_live(t, scratch);
   return true;
-}
-
-DocSortedList::DocSortedList(const PostingList& list)
-    : DocSortedList(std::vector<Posting>(list.postings().begin(),
-                                         list.postings().end())) {}
-
-DocSortedList::DocSortedList(std::vector<Posting> postings)
-    : postings_(std::move(postings)) {
-  std::sort(postings_.begin(), postings_.end(),
-            [](const Posting& a, const Posting& b) { return a.doc < b.doc; });
-}
-
-std::size_t DocSortedList::advance(std::size_t from, DocId target) const {
-  const auto first =
-      postings_.begin() +
-      static_cast<std::ptrdiff_t>(std::min(from, postings_.size()));
-  return static_cast<std::size_t>(
-      std::lower_bound(first, postings_.end(), target,
-                       [](const Posting& p, DocId t) { return p.doc < t; }) -
-      postings_.begin());
 }
 
 ResultEntry DaatProcessor::intersect(const DaatIndex& daat,
@@ -377,98 +358,6 @@ ResultEntry MaxScoreDaatProcessor::intersect(const DaatIndex& daat,
     stats->postings_touched = touched;
   }
   out.docs = top_docs_.take_sorted();
-  return out;
-}
-
-ResultEntry NaiveDaatProcessor::intersect(const DaatIndex& daat,
-                                          const Query& query,
-                                          DaatStats* stats) const {
-  daat.check_current();
-  ResultEntry out;
-  out.query = query.id;
-  if (query.terms.empty()) return out;
-
-  // Build doc-sorted copies, shortest list first (drives the loop).
-  // num_docs() and live_doc_sorted() are overlay-aware, so the naive
-  // processor scores the churned index the way a rebuilt one would —
-  // the equivalence suite leans on that under ingestion.
-  const MaterializedIndex& index = daat.index();
-  std::vector<DocSortedList> lists;
-  lists.reserve(query.terms.size());
-  std::vector<double> idf;
-  const double n_docs = static_cast<double>(index.num_docs());
-  std::vector<Posting> live;
-  for (TermId t : query.terms) {
-    if (daat.live_doc_sorted(t, live)) {
-      idf.push_back(daat_idf(n_docs, live.size()));
-      lists.emplace_back(std::move(live));
-      live.clear();
-    } else {
-      const PostingList* pl = index.postings(t);
-      lists.emplace_back(*pl);
-      idf.push_back(daat_idf(n_docs, pl->size()));
-    }
-  }
-  std::vector<std::size_t> order(lists.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return lists[a].size() < lists[b].size();
-  });
-  if (lists[order[0]].empty()) return out;
-
-  std::vector<std::size_t> cursor(lists.size(), 0);
-  std::vector<ScoredDoc> matches;
-  std::uint64_t touched = 0;
-
-  const DocSortedList& driver = lists[order[0]];
-  for (std::size_t dpos = 0; dpos < driver.size();) {
-    const DocId candidate = driver[dpos].doc;
-    ++touched;
-    double score = std::log(1.0 + driver[dpos].tf) * idf[order[0]];
-    bool all = true;
-    DocId next_candidate = candidate + 1;
-    for (std::size_t k = 1; k < order.size() && all; ++k) {
-      const std::size_t li = order[k];
-      cursor[li] = lists[li].advance(cursor[li], candidate);
-      ++touched;
-      if (cursor[li] >= lists[li].size()) {
-        // This list is exhausted: no further candidate can match.
-        dpos = driver.size();
-        all = false;
-        break;
-      }
-      if (lists[li][cursor[li]].doc != candidate) {
-        next_candidate = lists[li][cursor[li]].doc;
-        all = false;
-      } else {
-        score += std::log(1.0 + lists[li][cursor[li]].tf) * idf[li];
-      }
-    }
-    if (dpos >= driver.size()) break;
-    if (all) {
-      matches.push_back(
-          ScoredDoc{candidate, static_cast<float>(score)});
-      ++dpos;
-    } else {
-      // Leap the driver to the blocking list's doc id.
-      dpos = driver.advance(dpos, next_candidate);
-    }
-  }
-
-  const std::size_t k = std::min(top_k_, matches.size());
-  std::partial_sort(matches.begin(),
-                    matches.begin() + static_cast<std::ptrdiff_t>(k),
-                    matches.end(),
-                    [](const ScoredDoc& a, const ScoredDoc& b) {
-                      if (a.score != b.score) return a.score > b.score;
-                      return a.doc < b.doc;
-                    });
-  if (stats) {
-    stats->docs_scored = matches.size();
-    stats->postings_touched = touched;
-  }
-  matches.resize(k);
-  out.docs = std::move(matches);
   return out;
 }
 

@@ -5,7 +5,7 @@
 // the paper's "skipped reads" (§III) are modelled in simulated time by
 // CacheManager, not here.
 //
-// Three processors share the algorithm (DESIGN.md §8, §13), all over a
+// Two processors share the algorithm (DESIGN.md §8, §13), both over a
 // DaatIndex, the engine's own doc-ordered and block postings:
 //  * DaatProcessor — the exhaustive hot path: consumes the index's
 //    precomputed DocSortedViews (zero per-query copy/sort/allocation,
@@ -16,11 +16,9 @@
 //    per-block score upper bound cannot enter the full top-K heap, and
 //    skips whole blocks (metadata-only) without decoding them. Returns
 //    bit-identical top-K to DaatProcessor by construction (see the
-//    invariant notes at the implementation);
-//  * NaiveDaatProcessor — the seed reference implementation, which
-//    rebuilds a DocSortedList per query and advances with a plain
-//    std::lower_bound; kept for the equivalence suite that pins the hot
-//    path to bit-identical results.
+//    invariant notes at the implementation).
+// The tests pin DaatProcessor to a brute-force scored intersection
+// (tests/daat_oracle.hpp) that shares no code with the engine.
 #pragma once
 
 #include <cstdint>
@@ -35,12 +33,12 @@
 
 namespace ssdse {
 
-/// The DAAT engine's postings for one MaterializedIndex: each list
-/// sorted by doc into an arena and encoded as blocks (the corpus codec
-/// if it is a block codec, else block-packed), idfs over base_docs().
-/// Churn is read through the index's overlay. A merge rewrites the
-/// index's lists, so the processors throw std::logic_error on a
-/// DaatIndex built before it: rebuild after a merge. The index must
+/// The DAAT engine's postings for one MaterializedIndex: each list put
+/// in doc order (to_doc_order) into an arena and encoded as blocks (the
+/// corpus codec if it is a block codec, else block-packed), idfs over
+/// base_docs(). Churn is read through the index's overlay. A merge
+/// rewrites the index's lists, so the processors throw std::logic_error
+/// on a DaatIndex built before it: rebuild after a merge. The index must
 /// outlive the DaatIndex.
 class DaatIndex {
  public:
@@ -67,32 +65,6 @@ class DaatIndex {
   std::uint64_t generation_;   // index generation the stores reflect
   DocSortedStore doc_sorted_;  // doc-ordered projections
   BlockPostingStore blocks_;   // compressed blocks + skip/max metadata
-};
-
-/// Doc-id-sorted projection of a posting list. Owns a per-query copy;
-/// the hot path uses the DaatIndex's precomputed DocSortedView instead.
-class DocSortedList {
- public:
-  DocSortedList() = default;
-  explicit DocSortedList(const PostingList& list);
-  /// From raw postings (any order); used by the live-index equivalence
-  /// paths, where a term's current postings come from an overlay merge
-  /// rather than a stored PostingList.
-  explicit DocSortedList(std::vector<Posting> postings);
-
-  [[nodiscard]] std::size_t size() const { return postings_.size(); }
-  [[nodiscard]] bool empty() const { return postings_.empty(); }
-  const Posting& operator[](std::size_t i) const { return postings_[i]; }
-
-  /// Smallest index i >= `from` with doc id >= `target`, or size() if
-  /// none: a std::lower_bound over [from, size()), independent of the
-  /// hot path's galloping search.
-  [[nodiscard]] std::size_t advance(std::size_t from, DocId target) const;
-
-  [[nodiscard]] std::span<const Posting> postings() const { return postings_; }
-
- private:
-  std::vector<Posting> postings_;  // doc-id ascending
 };
 
 struct DaatStats {
@@ -188,22 +160,6 @@ class MaxScoreDaatProcessor {
   std::vector<std::vector<Posting>> block_buf_;  // per-term decode buffers
   TopKAccumulator top_docs_;
   PruningStats pruning_;
-};
-
-/// Reference implementation with seed semantics: copies and re-sorts
-/// every posting list per query, collects all matches, partial-sorts.
-/// Slow by design — the equivalence suite intersects through both
-/// processors and asserts bit-identical results and stats.
-class NaiveDaatProcessor {
- public:
-  explicit NaiveDaatProcessor(std::size_t top_k = kTopK)
-      : top_k_(top_k) {}
-
-  ResultEntry intersect(const DaatIndex& daat, const Query& query,
-                        DaatStats* stats = nullptr) const;
-
- private:
-  std::size_t top_k_;
 };
 
 }  // namespace ssdse

@@ -36,14 +36,13 @@ Situation classify_situation(bool result_hit, Tier result_tier,
 }
 
 void RunMetrics::record(Situation s, Micros response) {
-  responses_.add(response);
   hist_.add(response);
   counts_[static_cast<std::size_t>(s)] += 1;
   time_sums_[static_cast<std::size_t>(s)] += response;
 }
 
 double RunMetrics::situation_probability(Situation s) const {
-  const auto total = responses_.count();
+  const auto total = hist_.count();
   return total ? static_cast<double>(counts_[static_cast<std::size_t>(s)]) /
                      static_cast<double>(total)
                : 0.0;
@@ -57,7 +56,7 @@ Micros RunMetrics::situation_mean_time(Situation s) const {
 }
 
 double RunMetrics::cache_served_fraction() const {
-  const auto total = responses_.count();
+  const auto total = hist_.count();
   if (total == 0) return 0.0;
   std::uint64_t served = 0;
   for (const Situation s :
@@ -71,7 +70,6 @@ double RunMetrics::cache_served_fraction() const {
 
 void RunMetrics::register_into(telemetry::MetricsRegistry& registry,
                                const std::string& prefix) const {
-  registry.stats(prefix + ".response", &responses_);
   registry.histogram(prefix + ".response.us", &hist_);
   for (std::size_t i = 0; i < kNumSituations; ++i) {
     const std::string situation =
@@ -90,8 +88,8 @@ void RunMetrics::register_into(telemetry::MetricsRegistry& registry,
 }
 
 double RunMetrics::throughput_qps(Micros background_time) const {
-  const Micros total = micros(responses_.sum()) + background_time;
-  return total > Micros{} ? static_cast<double>(responses_.count()) /
+  const Micros total = micros(hist_.sum()) + background_time;
+  return total > Micros{} ? static_cast<double>(hist_.count()) /
                          (total / kSecond)
                    : 0.0;
 }

@@ -56,21 +56,14 @@ struct WarmRestartReport {
   [[nodiscard]] double warm_vs_steady_gap() const {
     return steady_hit_ratio - warm_hit_ratio;
   }
-  /// How much of the cold-start cliff the warm restart recovered.
-  [[nodiscard]] double warm_vs_cold_gain() const {
-    return warm_hit_ratio - cold_hit_ratio;
-  }
 };
 
 class RunMetrics {
  public:
   void record(Situation s, Micros response);
 
-  [[nodiscard]] std::uint64_t queries() const { return responses_.count(); }
-  [[nodiscard]] Micros mean_response() const {
-    return micros(responses_.mean());
-  }
-  [[nodiscard]] const StreamingStats& responses() const { return responses_; }
+  [[nodiscard]] std::uint64_t queries() const { return hist_.count(); }
+  [[nodiscard]] Micros mean_response() const { return micros(hist_.mean()); }
   [[nodiscard]] const LatencyHistogram& histogram() const { return hist_; }
 
   std::uint64_t situation_count(Situation s) const {
@@ -81,7 +74,7 @@ class RunMetrics {
 
   /// Foreground time only; see throughput_qps for the full accounting.
   [[nodiscard]] Micros total_response_time() const {
-    return micros(responses_.sum());
+    return micros(hist_.sum());
   }
 
   /// Query-level cache hit ratio: fraction of queries answered without
@@ -108,15 +101,14 @@ class RunMetrics {
   double throughput_qps(Micros background_time) const;
 
   /// Expose the accumulators under `prefix` ("query" gives
-  /// query.response.*, query.situation.s1..s9 and their .mean_us,
+  /// query.response.us, query.situation.s1..s9 and their .mean_us,
   /// query.coverage.*). The registry keeps pointers into this object,
   /// which must therefore outlive it and stay at a fixed address.
   void register_into(telemetry::MetricsRegistry& registry,
                      const std::string& prefix) const;
 
  private:
-  StreamingStats responses_;
-  LatencyHistogram hist_{0.1, 1e8, 1.2};
+  LatencyHistogram hist_{0.1, 1e8, 1.2};  // every response: count, sum
   std::array<std::uint64_t, kNumSituations> counts_{};
   std::array<Micros, kNumSituations> time_sums_{};
   std::uint64_t covered_requests_ = 0;

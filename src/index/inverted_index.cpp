@@ -15,9 +15,8 @@ IndexLayout layout_from_sizes(std::vector<Bytes> sizes) {
 }
 
 /// TermMeta::list_bytes of a frequency-sorted list, at least 1. The
-/// classic codecs encode the list as it is. A block codec stores it in
-/// doc order; the list is one doc-ascending run per tf, so merging the
-/// runs in turn (into `by_doc`) restores that order without a sort.
+/// classic codecs encode the list as it is; a block codec stores it in
+/// doc order (put into `by_doc`).
 Bytes list_bytes(CodecKind kind, const PostingCodec& codec,
                  std::span<const Posting> ranked,
                  std::vector<Posting>& by_doc) {
@@ -25,15 +24,7 @@ Bytes list_bytes(CodecKind kind, const PostingCodec& codec,
   if (!is_block_codec(kind)) {
     return std::max<Bytes>(codec.encoded_bytes(ranked), 1);
   }
-  by_doc.assign(ranked.begin(), ranked.end());
-  for (auto run = by_doc.begin(); run != by_doc.end();) {
-    const auto next = std::partition_point(
-        run, by_doc.end(), [&](const Posting& p) { return p.tf == run->tf; });
-    std::inplace_merge(
-        by_doc.begin(), run, next,
-        [](const Posting& a, const Posting& b) { return a.doc < b.doc; });
-    run = next;
-  }
+  to_doc_order(ranked, by_doc);
   return std::max<Bytes>(block_slice_bytes(kind, by_doc), 1);
 }
 

@@ -34,6 +34,12 @@ inline constexpr auto by_rank = [](const Posting& a, const Posting& b) {
   return a.doc < b.doc;
 };
 
+/// Copy a list in by_rank order into `by_doc`, in doc-id order. A
+/// ranked list is one doc-ascending run per tf, so merging the runs in
+/// turn restores doc order without a sort.
+void to_doc_order(std::span<const Posting> ranked,
+                  std::vector<Posting>& by_doc);
+
 class PostingList {
  public:
   PostingList() = default;

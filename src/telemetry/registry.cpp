@@ -64,13 +64,6 @@ void MetricsRegistry::histogram(const std::string& name,
   add_entry(std::move(e));
 }
 
-void MetricsRegistry::stats(const std::string& name,
-                            const StreamingStats* source) {
-  counter_fn(name + ".count", [source] { return source->count(); });
-  gauge(name + ".mean", [source] { return source->mean(); });
-  gauge(name + ".max", [source] { return source->max(); });
-}
-
 RegistrySnapshot MetricsRegistry::snapshot() const {
   RegistrySnapshot snap;
   snap.metrics_.reserve(entries_.size());

@@ -77,10 +77,6 @@ class MetricsRegistry {
   /// Histogram backed by a live LatencyHistogram.
   void histogram(const std::string& name, const LatencyHistogram* source);
 
-  /// Expose a StreamingStats as a pair of derived gauges
-  /// (`name.mean`, `name.max`) plus a `name.count` counter.
-  void stats(const std::string& name, const StreamingStats* source);
-
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
   /// Read every registered metric. Sorted by name.

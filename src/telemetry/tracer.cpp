@@ -69,13 +69,6 @@ std::vector<QueryTrace> QueryTracer::recent() const {
   return out;
 }
 
-void QueryTracer::merge_aggregates(const QueryTracer& other) {
-  for (std::size_t i = 0; i < kNumTraceStages; ++i) {
-    hists_[i].merge(other.hists_[i]);
-  }
-  traced_ += other.traced_;
-}
-
 void QueryTracer::clear() {
   traced_ = 0;
   current_ = QueryTrace{};

@@ -91,10 +91,6 @@ class QueryTracer {
     return &ring_[(ring_next_ + ring_.size() - 1) % ring_.size()];
   }
 
-  /// Fold another tracer's per-stage aggregates into this one
-  /// (cross-shard report). Ring buffers are per-shard and not merged.
-  void merge_aggregates(const QueryTracer& other);
-
   void clear();
 
  private:

@@ -1,8 +1,6 @@
 #include "src/util/zipf.hpp"
 
 #include <cmath>
-#include <limits>
-#include <stdexcept>
 
 namespace ssdse {
 
@@ -64,64 +62,6 @@ std::uint64_t ZipfSampler::sample(Rng& rng) const {
 
 double ZipfSampler::pmf(std::uint64_t k) const {
   if (k < 1 || k > n_) return 0.0;
-  return std::pow(static_cast<double>(k), -s_) / norm_;
-}
-
-AliasZipfSampler::AliasZipfSampler(std::uint64_t n, double s) : s_(s) {
-  if (n == 0 || n > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument(
-        "AliasZipfSampler: n must be in [1, 2^32) (32-bit alias table)");
-  }
-  norm_ = generalized_harmonic(n, s);
-  prob_.resize(n);
-  alias_.resize(n);
-  // Vose's stable construction: scale each pmf to mean 1, then pair
-  // every under-full column with an over-full donor.
-  std::vector<double> scaled(n);
-  for (std::uint64_t k = 0; k < n; ++k) {
-    scaled[k] =
-        std::pow(static_cast<double>(k + 1), -s) / norm_ *
-        static_cast<double>(n);
-  }
-  std::vector<std::uint32_t> small;
-  std::vector<std::uint32_t> large;
-  small.reserve(n);
-  large.reserve(n);
-  for (std::uint64_t k = 0; k < n; ++k) {
-    (scaled[k] < 1.0 ? small : large).push_back(
-        static_cast<std::uint32_t>(k));
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s_col = small.back();
-    small.pop_back();
-    const std::uint32_t l_col = large.back();
-    prob_[s_col] = scaled[s_col];
-    alias_[s_col] = l_col;
-    scaled[l_col] -= 1.0 - scaled[s_col];
-    if (scaled[l_col] < 1.0) {
-      large.pop_back();
-      small.push_back(l_col);
-    }
-  }
-  // Numerical residue: remaining columns are exactly full.
-  for (const std::uint32_t c : small) {
-    prob_[c] = 1.0;
-    alias_[c] = c;
-  }
-  for (const std::uint32_t c : large) {
-    prob_[c] = 1.0;
-    alias_[c] = c;
-  }
-}
-
-std::uint64_t AliasZipfSampler::sample(Rng& rng) const {
-  const std::uint64_t col = rng.next_below(prob_.size());
-  const double coin = rng.next_double();
-  return (coin < prob_[col] ? col : alias_[col]) + 1;
-}
-
-double AliasZipfSampler::pmf(std::uint64_t k) const {
-  if (k < 1 || k > prob_.size()) return 0.0;
   return std::pow(static_cast<double>(k), -s_) / norm_;
 }
 

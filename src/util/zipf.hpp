@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "src/util/rng.hpp"
 
@@ -45,32 +44,5 @@ class ZipfSampler {
 /// an Euler–Maclaurin tail so it stays fast for n in the hundreds of
 /// millions.
 double generalized_harmonic(std::uint64_t n, double s);
-
-/// Alias-method (Vose 1991) Zipf sampler: O(n) table memory and build
-/// time traded for exactly two RNG draws and two table loads per sample
-/// — no rejection loop. Opt-in (QueryLogConfig::alias_sampler) because
-/// the draw pattern differs from ZipfSampler's rejection-inversion, so
-/// enabling it changes every downstream RNG-derived fingerprint; the
-/// known hot spot it targets is the workload generator's cache-phase
-/// profile cost (two samplers over n ~ 1M ranks on every query).
-class AliasZipfSampler {
- public:
-  AliasZipfSampler(std::uint64_t n, double s);
-
-  /// Draw a rank in [1, n]: one uniform column pick + one biased coin.
-  std::uint64_t sample(Rng& rng) const;
-
-  /// Probability mass of rank k (exact; matches ZipfSampler::pmf).
-  double pmf(std::uint64_t k) const;
-
-  [[nodiscard]] std::uint64_t n() const { return prob_.size(); }
-  [[nodiscard]] double exponent() const { return s_; }
-
- private:
-  double s_;
-  double norm_;
-  std::vector<double> prob_;          // scaled acceptance probability
-  std::vector<std::uint32_t> alias_;  // fallback rank per column
-};
 
 }  // namespace ssdse

@@ -8,24 +8,7 @@ QueryLogGenerator::QueryLogGenerator(const QueryLogConfig& cfg)
     : cfg_(cfg),
       query_dist_(cfg.distinct_queries, cfg.query_zipf),
       term_dist_(cfg.vocab_size, cfg.term_zipf),
-      rng_(cfg.seed) {
-  if (cfg.alias_sampler) {
-    alias_query_dist_ = std::make_unique<AliasZipfSampler>(
-        cfg.distinct_queries, cfg.query_zipf);
-    alias_term_dist_ =
-        std::make_unique<AliasZipfSampler>(cfg.vocab_size, cfg.term_zipf);
-  }
-}
-
-std::uint64_t QueryLogGenerator::sample_query_rank() {
-  return alias_query_dist_ ? alias_query_dist_->sample(rng_)
-                           : query_dist_.sample(rng_);
-}
-
-std::uint64_t QueryLogGenerator::sample_term(Rng& rng) const {
-  return alias_term_dist_ ? alias_term_dist_->sample(rng)
-                          : term_dist_.sample(rng);
-}
+      rng_(cfg.seed) {}
 
 Query QueryLogGenerator::query_for_rank(std::uint64_t rank) const {
   // Deterministic construction: the query's private RNG stream is a
@@ -39,7 +22,7 @@ Query QueryLogGenerator::query_for_rank(std::uint64_t rank) const {
                       static_cast<std::uint32_t>(qrng.next_below(span));
   q.terms.reserve(nterms);
   for (std::uint32_t i = 0; i < nterms; ++i) {
-    const auto t = static_cast<TermId>(sample_term(qrng) - 1);
+    const auto t = static_cast<TermId>(term_dist_.sample(qrng) - 1);
     if (std::find(q.terms.begin(), q.terms.end(), t) == q.terms.end()) {
       q.terms.push_back(t);
     }
@@ -54,7 +37,7 @@ Query QueryLogGenerator::next() {
     // Session burst: repeat a recent query.
     rank = recent_[rng_.next_below(recent_.size())];
   } else {
-    rank = sample_query_rank() - 1;
+    rank = query_dist_.sample(rng_) - 1;
   }
   if (cfg_.burst_probability > 0 && cfg_.burst_window > 0) {
     if (recent_.size() < cfg_.burst_window) {

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "src/engine/query.hpp"
 #include "src/util/rng.hpp"
@@ -31,12 +31,6 @@ struct QueryLogConfig {
   /// temporal locality beyond the Zipf popularity law). 0 disables.
   double burst_probability = 0.0;
   std::uint32_t burst_window = 64;
-  /// Opt-in alias-method Zipf sampling (Vose): O(n) tables, two RNG
-  /// draws per sample, no rejection loop — faster in the cache-phase
-  /// profile at the cost of build memory. Default OFF: the rejection-
-  /// inversion sampler's draw pattern is what every existing fingerprint
-  /// was recorded against, and enabling the alias tables changes it.
-  bool alias_sampler = false;
   std::uint64_t seed = 7;
 };
 
@@ -54,15 +48,9 @@ class QueryLogGenerator {
   [[nodiscard]] const QueryLogConfig& config() const { return cfg_; }
 
  private:
-  std::uint64_t sample_query_rank();
-  std::uint64_t sample_term(Rng& rng) const;
-
   QueryLogConfig cfg_;
   ZipfSampler query_dist_;
   ZipfSampler term_dist_;  // shared: sample() is const and stateless
-  // Alias tables, built only when cfg.alias_sampler is set.
-  std::unique_ptr<AliasZipfSampler> alias_query_dist_;
-  std::unique_ptr<AliasZipfSampler> alias_term_dist_;
   Rng rng_;
   std::vector<std::uint64_t> recent_;  // ring of recent ranks (bursts)
   std::size_t recent_pos_ = 0;

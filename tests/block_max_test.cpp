@@ -366,8 +366,6 @@ TEST(MaxScoreChurnTest, DirtyTermsBypassStaleBlockMax) {
   const Query probe{QueryId{1}, {TermId{0}, TermId{1}}};
   EXPECT_THROW(oracle.intersect(before_merge, probe), std::logic_error);
   EXPECT_THROW(pruned.intersect(before_merge, probe), std::logic_error);
-  EXPECT_THROW(NaiveDaatProcessor(10).intersect(before_merge, probe),
-               std::logic_error);
 
   // Rebuilt over the merged lists: blocks and block-max metadata come
   // from the merged postings, and the clean fast path is back in force.

@@ -1,25 +1,17 @@
 // DAAT conjunctive processing tests: the galloping next-doc search,
 // advance() semantics, and intersection correctness against a
-// brute-force oracle.
+// brute-force scored oracle (tests/daat_oracle.hpp).
 #include <algorithm>
-#include <set>
 #include <span>
 
 #include <gtest/gtest.h>
 
-#include "src/engine/daat.hpp"
 #include "src/index/gallop.hpp"
 #include "src/util/rng.hpp"
+#include "tests/daat_oracle.hpp"
 
 namespace ssdse {
 namespace {
-
-PostingList make_list(std::vector<DocId> docs, std::uint32_t tf = 5) {
-  std::vector<Posting> p;
-  p.reserve(docs.size());
-  for (DocId d : docs) p.push_back(Posting{d, tf});
-  return PostingList(std::move(p));
-}
 
 /// Doc-ascending postings over `docs` (already ascending).
 std::vector<Posting> by_doc(const std::vector<DocId>& docs) {
@@ -88,15 +80,6 @@ TEST(GallopTest, EdgeCases) {
   EXPECT_EQ(gallop_docs(five, 1, DocId{51}), 5u);
 }
 
-// --- DocSortedList -----------------------------------------------------
-
-TEST(DocSortedListTest, SortsByDocId) {
-  DocSortedList list(make_list({DocId{50}, DocId{3}, DocId{20}, DocId{7}}));
-  ASSERT_EQ(list.size(), 4u);
-  EXPECT_EQ(list[0].doc.raw(), 3u);
-  EXPECT_EQ(list[3].doc, DocId{50});
-}
-
 // --- DocSortedView -----------------------------------------------------
 
 TEST(DocSortedViewTest, AdvanceFindsFirstAtLeastTarget) {
@@ -153,29 +136,6 @@ class DaatTest : public ::testing::Test {
       : rng_(55), corpus_(daat_corpus(), rng_), index_(corpus_),
         daat_index_(index_) {}
 
-  /// Brute-force oracle: docs containing every term.
-  std::set<DocId> oracle(const std::vector<TermId>& terms) {
-    std::set<DocId> acc;
-    bool first = true;
-    for (TermId t : terms) {
-      std::set<DocId> docs;
-      for (const Posting& p : index_.postings(t)->postings()) {
-        docs.insert(p.doc);
-      }
-      if (first) {
-        acc = std::move(docs);
-        first = false;
-      } else {
-        std::set<DocId> merged;
-        std::set_intersection(acc.begin(), acc.end(), docs.begin(),
-                              docs.end(),
-                              std::inserter(merged, merged.begin()));
-        acc = std::move(merged);
-      }
-    }
-    return acc;
-  }
-
   Rng rng_;
   MaterializedCorpus corpus_;
   MaterializedIndex index_;
@@ -183,27 +143,26 @@ class DaatTest : public ::testing::Test {
 };
 
 TEST_F(DaatTest, MatchesBruteForceIntersection) {
-  DaatProcessor daat(/*top_k=*/100'000);  // keep every match
+  constexpr std::size_t kAll = 100'000;  // keep every match
+  DaatProcessor daat(kAll);
+  std::uint64_t touched = 0;
   for (QueryId qid{}; qid < QueryId{20}; ++qid) {
     Query q{qid, {TermId{static_cast<std::uint32_t>(qid.raw() % 40)},
                   TermId{static_cast<std::uint32_t>(40 + qid.raw() % 40)}}};
     DaatStats stats;
     const ResultEntry result = daat.intersect(daat_index_, q, &stats);
-    const auto expected = oracle(q.terms);
-    ASSERT_EQ(result.docs.size(), expected.size()) << "query " << qid.raw();
-    for (const ScoredDoc& d : result.docs) {
-      EXPECT_TRUE(expected.count(d.doc)) << d.doc.raw();
-    }
-    EXPECT_EQ(stats.docs_scored, expected.size());
+    expect_matches_oracle(result, stats, brute_force_daat(index_, q, kAll));
+    touched += stats.postings_touched;
   }
+  EXPECT_EQ(touched, 15'810u);
 }
 
 TEST_F(DaatTest, ThreeTermIntersection) {
   DaatProcessor daat(100'000);
   Query q{QueryId{1}, {TermId{0}, TermId{1}, TermId{2}}};
-  const auto result = daat.intersect(daat_index_, q);
-  const auto expected = oracle(q.terms);
-  EXPECT_EQ(result.docs.size(), expected.size());
+  DaatStats stats;
+  const auto result = daat.intersect(daat_index_, q, &stats);
+  expect_matches_oracle(result, stats, brute_force_daat(index_, q, 100'000));
 }
 
 TEST_F(DaatTest, ScoresDescending) {

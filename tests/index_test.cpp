@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -6,6 +7,7 @@
 #include "src/index/inverted_index.hpp"
 #include "src/index/layout.hpp"
 #include "src/index/posting.hpp"
+#include "src/util/rng.hpp"
 
 namespace ssdse {
 namespace {
@@ -30,6 +32,34 @@ TEST(PostingListTest, EmptyList) {
 TEST(PostingListTest, BytesUsesPostingSizeModel) {
   PostingList list({{DocId{0}, 1}, {DocId{1}, 1}});
   EXPECT_EQ(list.bytes(), 2 * kPostingBytes);
+}
+
+TEST(PostingListTest, DocOrderEqualsSortByDoc) {
+  // Ranked lists over distinct docs with tfs drawn from [1, max_tf]:
+  // empty, one tf for all (a single run), all-distinct tfs (runs of
+  // one, max_tf 0 below) and random mixes.
+  Rng rng(11);
+  std::vector<Posting> by_doc;  // reused: every call overwrites it
+  for (int rep = 0; rep < 24; ++rep) {
+    const std::size_t n = rep == 0 ? 0 : 1 + rng.next_below(400);
+    const std::uint32_t max_tf = rep % 4 == 1 ? 1 : rep % 4 == 2 ? 0 : 9;
+    std::vector<Posting> postings;
+    DocId doc{};
+    for (std::size_t i = 0; i < n; ++i) {
+      doc = doc + static_cast<std::uint32_t>(1 + rng.next_below(50));
+      const auto tf = max_tf == 0
+                          ? static_cast<std::uint32_t>(i + 1)
+                          : 1 + static_cast<std::uint32_t>(
+                                    rng.next_below(max_tf));
+      postings.push_back(Posting{doc, tf});
+    }
+    const PostingList list(std::move(postings));
+    to_doc_order(list.postings(), by_doc);
+    std::vector<Posting> want(list.postings().begin(), list.postings().end());
+    std::sort(want.begin(), want.end(),
+              [](const Posting& a, const Posting& b) { return a.doc < b.doc; });
+    EXPECT_EQ(by_doc, want) << "rep " << rep << " n " << n;
+  }
 }
 
 // --- TermStatsModel ----------------------------------------------------------

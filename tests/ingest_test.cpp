@@ -98,23 +98,19 @@ void expect_docs_eq(const ResultEntry& got, const ResultEntry& want,
   }
 }
 
-/// Both DAAT processors against the overlayed index must match the
-/// oracle bit-for-bit, stats included: churn scratch and arena slices
-/// advance by the same search, so even postings_touched agrees.
+/// DaatProcessor against the overlayed index must match the oracle
+/// bit-for-bit, stats included: churn scratch and arena slices advance
+/// by the same search, so even postings_touched agrees.
 void expect_oracle_equivalent(const DaatIndex& live_daat,
                               const Oracle& oracle,
                               const std::vector<Query>& queries,
                               const char* ctx) {
   DaatProcessor fast(10), oracle_fast(10);
-  NaiveDaatProcessor naive(10), oracle_naive(10);
   for (const Query& q : queries) {
-    DaatStats fs, os, ns, ons;
+    DaatStats fs, os;
     const ResultEntry fr = fast.intersect(live_daat, q, &fs);
     const ResultEntry orf = oracle_fast.intersect(oracle.daat, q, &os);
     expect_docs_eq(fr, orf, ctx, q.id);
-    const ResultEntry nr = naive.intersect(live_daat, q, &ns);
-    const ResultEntry orn = oracle_naive.intersect(oracle.daat, q, &ons);
-    expect_docs_eq(nr, orn, ctx, q.id);
     EXPECT_EQ(fs.docs_scored, os.docs_scored) << ctx << " query " << q.id.raw();
     EXPECT_EQ(fs.postings_touched, os.postings_touched)
         << ctx << " query " << q.id.raw();

@@ -1,9 +1,8 @@
-// Tests for the SieveStore-style admission filter, session-burst
-// workload option, and the open-loop load model.
+// Tests for the SieveStore-style admission filter and the session-burst
+// workload option.
 #include <gtest/gtest.h>
 
 #include "src/cache/sieve_filter.hpp"
-#include "src/hybrid/load_model.hpp"
 #include "src/hybrid/search_system.hpp"
 #include "src/workload/query_log.hpp"
 
@@ -83,48 +82,6 @@ TEST(BurstTest, DisabledByDefaultKeepsStreamUnchanged) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(a.next().id, b.next().id);
   }
-}
-
-// --- Open-loop load model -------------------------------------------------------
-
-TEST(LoadModelTest, LowLoadMeansNoQueueing) {
-  std::vector<Micros> service(2'000, ms(1));  // 1 ms each
-  Rng rng(1);
-  const LoadPoint p = simulate_open_loop(service, /*qps=*/10, rng);
-  EXPECT_LT(p.mean_wait.value(), 200.0);  // well under one service time
-  EXPECT_NEAR(p.mean_response.value(), 1'000.0 + p.mean_wait.value(), 1e-6);
-  EXPECT_LT(p.utilization, 0.05);
-  EXPECT_EQ(p.served, 2'000u);
-}
-
-TEST(LoadModelTest, OverloadQueuesGrow) {
-  std::vector<Micros> service(2'000, ms(1));  // capacity = 1000 q/s
-  Rng rng(2);
-  const LoadPoint p = simulate_open_loop(service, /*qps=*/2'000, rng);
-  EXPECT_GT(p.mean_wait.value(), 10 * 1'000.0);  // deep queueing
-  EXPECT_GT(p.utilization, 0.95);
-}
-
-TEST(LoadModelTest, WaitMonotoneInLoad) {
-  Rng service_rng(3);
-  std::vector<Micros> service;
-  for (int i = 0; i < 3'000; ++i) {
-    service.push_back(micros(service_rng.lognormal(7.0, 0.8)));  // ~1.1 ms mean
-  }
-  double prev = -1;
-  for (double qps : {50.0, 200.0, 500.0, 800.0}) {
-    Rng rng(4);
-    const LoadPoint p = simulate_open_loop(service, qps, rng);
-    EXPECT_GE(p.mean_wait.value(), prev);
-    prev = p.mean_wait.value();
-  }
-}
-
-TEST(LoadModelTest, EmptyInputSafe) {
-  Rng rng(5);
-  const LoadPoint p = simulate_open_loop({}, 100, rng);
-  EXPECT_EQ(p.served, 0u);
-  EXPECT_EQ(p.mean_response.value(), 0.0);
 }
 
 }  // namespace

@@ -88,24 +88,17 @@ TEST(RegistryTest, AllMetricShapes) {
   LatencyHistogram h;
   h.add(10.0);
   h.add(20.0);
-  StreamingStats st;
-  st.add(1.0);
-  st.add(3.0);
   r.counter("c", &c);
   r.counter_fn("cf", [] { return std::uint64_t{7}; });
   r.gauge("g", [] { return 0.5; });
   r.gauge_value("gv", 2.5);
   r.histogram("h", &h);
-  r.stats("s", &st);  // expands to s.count / s.mean / s.max
   const auto snap = r.snapshot();
   EXPECT_EQ(snap.find("c")->counter, 3u);
   EXPECT_EQ(snap.find("cf")->counter, 7u);
   EXPECT_DOUBLE_EQ(snap.find("g")->gauge.mean(), 0.5);
   EXPECT_DOUBLE_EQ(snap.find("gv")->gauge.mean(), 2.5);
   EXPECT_EQ(snap.find("h")->hist.count(), 2u);
-  EXPECT_EQ(snap.find("s.count")->counter, 2u);
-  EXPECT_DOUBLE_EQ(snap.find("s.mean")->gauge.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(snap.find("s.max")->gauge.mean(), 3.0);
 }
 
 TEST(RegistryTest, SnapshotSortedByName) {
@@ -249,22 +242,6 @@ TEST(TracerTest, DisabledRecordsNothing) {
   EXPECT_EQ(t.stage_hist(TraceStage::kScore).count(), 0u);
 }
 
-TEST(TracerTest, MergeAggregatesFoldsShards) {
-  QueryTracer a, b;
-  a.begin_query(QueryId{1});
-  a.add_span(TraceStage::kScore, micros(100.0));
-  a.end_query(micros(100.0));
-  b.begin_query(QueryId{2});
-  b.add_span(TraceStage::kScore, micros(300.0));
-  b.end_query(micros(300.0));
-  a.merge_aggregates(b);
-  EXPECT_EQ(a.queries_traced(), 2u);
-  EXPECT_EQ(a.stage_hist(TraceStage::kScore).count(), 2u);
-  EXPECT_DOUBLE_EQ(a.stage_hist(TraceStage::kScore).mean(), 200.0);
-  // Ring buffers are per-shard: merge does not import b's traces.
-  EXPECT_EQ(a.recent().size(), 1u);
-}
-
 TEST(TracerTest, ClearResetsEverything) {
   QueryTracer t(/*ring_capacity=*/2);
   for (QueryId q{}; q < QueryId{5}; ++q) {
@@ -317,7 +294,7 @@ TEST(SystemTelemetryTest, RegistryAgreesWithCacheStats) {
   EXPECT_EQ(snap.find("cache.l1.result.hits")->counter, cs.result_hits_mem);
   EXPECT_EQ(snap.find("cache.l2.result.hits")->counter, cs.result_hits_ssd);
   EXPECT_EQ(snap.find("cache.list.probes")->counter, cs.list_lookups);
-  EXPECT_EQ(snap.find("query.response.count")->counter,
+  EXPECT_EQ(snap.find("query.response.us")->hist.count(),
             system.metrics().queries());
   // Hits never exceed probes; the validator asserts the same invariant
   // on every emitted report.
@@ -365,7 +342,8 @@ TEST(SystemTelemetryTest, RunReportRendersValidSkeleton) {
   EXPECT_NE(json.find(R"("schema_version":2)"), std::string::npos);
   EXPECT_NE(json.find(R"("run":"unit")"), std::string::npos);
   EXPECT_NE(json.find(R"("metrics":{)"), std::string::npos);
-  EXPECT_NE(json.find(R"("query.response.count":1000)"), std::string::npos);
+  EXPECT_NE(json.find(R"("query.response.us":{"count":1000,)"),
+            std::string::npos);
   EXPECT_NE(json.find(R"("query.situation.s9.mean_us":{)"),
             std::string::npos);
   // Every number comes from the registry: no hand-copied sections.

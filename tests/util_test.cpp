@@ -173,69 +173,6 @@ TEST(ZipfTest, GeneralizedHarmonicMatchesDirectSum) {
   }
 }
 
-// --- Alias-method Zipf (Vose) -------------------------------------------
-
-TEST(AliasZipfTest, PmfMatchesRejectionSampler) {
-  const std::uint64_t n = 1000;
-  ZipfSampler ref(n, 1.0);
-  AliasZipfSampler alias(n, 1.0);
-  for (std::uint64_t k = 1; k <= n; ++k) {
-    EXPECT_DOUBLE_EQ(alias.pmf(k), ref.pmf(k)) << "rank " << k;
-  }
-  EXPECT_EQ(alias.pmf(0), 0.0);
-  EXPECT_EQ(alias.pmf(n + 1), 0.0);
-}
-
-TEST(AliasZipfTest, SamplesWithinRange) {
-  AliasZipfSampler z(100, 1.2);
-  Rng r(5);
-  for (int i = 0; i < 5000; ++i) {
-    const auto k = z.sample(r);
-    EXPECT_GE(k, 1u);
-    EXPECT_LE(k, 100u);
-  }
-}
-
-TEST(AliasZipfTest, EmpiricalMatchesPmf) {
-  const std::uint64_t n = 50;
-  AliasZipfSampler z(n, 1.0);
-  Rng r(6);
-  std::vector<std::uint64_t> counts(n + 1, 0);
-  const int draws = 200000;
-  for (int i = 0; i < draws; ++i) ++counts[z.sample(r)];
-  for (std::uint64_t k = 1; k <= 5; ++k) {
-    const double expected = z.pmf(k);
-    const double got = static_cast<double>(counts[k]) / draws;
-    EXPECT_NEAR(got, expected, 0.01) << "rank " << k;
-  }
-}
-
-TEST(AliasZipfTest, ExactlyTwoDrawsPerSample) {
-  AliasZipfSampler z(1000, 1.0);
-  // Two identically-seeded streams: one drives the sampler, the other
-  // is advanced by hand two draws per sample. If the sampler consumed
-  // any other number of values the streams would diverge.
-  Rng a(7), b(7);
-  for (int i = 0; i < 2000; ++i) {
-    (void)z.sample(a);
-    (void)b.next_below(1000);
-    (void)b.next_double();
-    // The probe draw advances both streams equally, so any draw-count
-    // mismatch keeps the streams diverged for the rest of the loop.
-    ASSERT_EQ(a.next_u64(), b.next_u64()) << "sample " << i;
-  }
-}
-
-TEST(AliasZipfTest, DeterministicAcrossInstances) {
-  AliasZipfSampler z1(5000, 0.9), z2(5000, 0.9);
-  Rng a(8), b(8);
-  for (int i = 0; i < 2000; ++i) EXPECT_EQ(z1.sample(a), z2.sample(b));
-}
-
-TEST(AliasZipfTest, RejectsDegenerateSizes) {
-  EXPECT_THROW(AliasZipfSampler(0, 1.0), std::invalid_argument);
-}
-
 // --- StreamingStats ------------------------------------------------------
 
 TEST(StatsTest, BasicMoments) {

@@ -74,57 +74,6 @@ TEST(QueryLogTest, TermAccessFrequencyZipfLike) {
   EXPECT_GT(sorted[0].second, median * 20);
 }
 
-TEST(QueryLogTest, AliasSamplerKeepsDistributionShape) {
-  QueryLogConfig cfg = small_log();
-  cfg.alias_sampler = true;
-  QueryLogGenerator gen(cfg);
-  Counter freq;
-  for (int i = 0; i < 20'000; ++i) {
-    const Query q = gen.next();
-    EXPECT_GE(q.terms.size(), 1u);
-    EXPECT_LE(q.terms.size(), 4u);
-    for (TermId t : q.terms) {
-      EXPECT_LT(t, TermId{cfg.vocab_size});
-      freq.add(t.raw());
-    }
-  }
-  // Same Zipf-like shape as the default sampler (Fig. 3b): the head
-  // term dwarfs the median term.
-  const auto sorted = freq.sorted();
-  const auto median = sorted[sorted.size() / 2].second;
-  EXPECT_GT(sorted[0].second, median * 20);
-}
-
-TEST(QueryLogTest, AliasSamplerIsDeterministic) {
-  QueryLogConfig cfg = small_log();
-  cfg.alias_sampler = true;
-  QueryLogGenerator a(cfg), b(cfg);
-  for (int i = 0; i < 2000; ++i) {
-    const Query qa = a.next();
-    const Query qb = b.next();
-    EXPECT_EQ(qa.id, qb.id);
-    EXPECT_EQ(qa.terms, qb.terms);
-  }
-}
-
-TEST(QueryLogTest, AliasSamplerChangesStreamButNotDefault) {
-  // The flag is opt-in precisely because it alters the RNG draw
-  // pattern; default-config streams must be byte-identical to a build
-  // that never had the alias sampler.
-  QueryLogConfig plain = small_log();
-  QueryLogConfig alias = small_log();
-  alias.alias_sampler = true;
-  QueryLogGenerator gp(plain), ga(alias);
-  int same = 0;
-  for (int i = 0; i < 200; ++i) same += gp.next().id == ga.next().id;
-  EXPECT_LT(same, 200);  // streams diverge...
-  QueryLogGenerator gp2(plain);
-  QueryLogGenerator gp3(plain);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(gp2.next().id, gp3.next().id);  // ...defaults do not
-  }
-}
-
 TEST(QueryLogTest, StreamsDifferBySeed) {
   QueryLogConfig a = small_log();
   QueryLogConfig b = small_log();
