@@ -80,9 +80,12 @@ WarmRestartReport measure(CachePolicy policy, std::uint64_t warmup,
     report.warm_mean_response = w.mean_response;
     report.recovery_flash_time = b.recovery_stats()->restore_flash_time;
     report.recovery_wall_ms = b.recovery_stats()->recovery_wall_ms;
-    // Telemetry run report for the recovered system (SSDSE_TELEMETRY_OUT).
-    maybe_write_report(b.telemetry_registry().snapshot(),
-                       "ext_warm_restart");
+    // Telemetry run report (SSDSE_TELEMETRY_OUT) for one recovered
+    // system, the CBSLRU restart's, named by its policy.
+    if (policy == CachePolicy::kCbslru) {
+      maybe_write_report(b.telemetry_registry().snapshot(),
+                         std::string("ext_warm_restart/") + to_string(policy));
+    }
   }
 
   {  // Phase C: cold baseline — same config, fresh caches.

@@ -21,7 +21,9 @@
 // `trace_guard` (below). Override query counts with SSDSE_QUERIES
 // (system phases) and SSDSE_DAAT_QUERIES; output path with
 // SSDSE_BENCH_OUT.
+#include <algorithm>
 #include <cstdio>
+#include <span>
 
 #include "bench/bench_common.hpp"
 #include "src/hybrid/run_report.hpp"
@@ -54,19 +56,21 @@ struct PhaseResult {
   [[nodiscard]] bool pin_match() const { return fingerprint == pin; }
 };
 
-/// The daat hot loop. `kTraced=false` compiles the span calls away
-/// entirely (if constexpr), giving the guard a true tracing-compiled-out
-/// baseline inside one binary; `kTraced=true` instruments each query
-/// against `tracer`. Both variants must produce the same checksum.
+/// The daat hot loop over `queries`, folding each into `checksum`;
+/// returns its wall time in ms. `kTraced=false` compiles the span calls
+/// away entirely (if constexpr), giving the guard a true
+/// tracing-compiled-out baseline inside one binary; `kTraced=true`
+/// instruments each query against `tracer`. Both variants must produce
+/// the same checksum.
 template <bool kTraced>
-std::uint64_t daat_loop(const DaatWorkload& w,
-                        telemetry::QueryTracer* tracer) {
-  DaatProcessor daat(/*top_k=*/kTopK);
-  std::uint64_t checksum = 0;
-  for (const Query& q : w.batch) {
+double daat_loop(DaatProcessor& daat, const DaatIndex& index,
+                 std::span<const Query> queries, std::uint64_t& checksum,
+                 telemetry::QueryTracer* tracer) {
+  const auto t0 = Clock::now();
+  for (const Query& q : queries) {
     if constexpr (kTraced) tracer->begin_query(q.id);
     DaatStats stats;
-    const ResultEntry r = daat.intersect(*w.daat, q, &stats);
+    const ResultEntry r = daat.intersect(index, q, &stats);
     checksum = fold_checksum(checksum, stats, r);
     if constexpr (kTraced) {
       tracer->add_span(telemetry::TraceStage::kScore,
@@ -74,53 +78,66 @@ std::uint64_t daat_loop(const DaatWorkload& w,
       tracer->end_query(static_cast<Micros>(stats.postings_touched));
     }
   }
-  return checksum;
+  return ms_since(t0);
 }
 
 /// Phase 1: the DAAT engine on a materialized index. Build cost (the
 /// one-time doc-sorted materialization) is excluded: the simulator
 /// builds once and serves millions of queries.
-PhaseResult run_daat_phase(std::uint64_t queries) {
-  DaatWorkload w(queries);
-  const auto t0 = Clock::now();
-  const std::uint64_t checksum = daat_loop<false>(w, nullptr);
-  const double wall = ms_since(t0);
+PhaseResult run_daat_phase(const DaatWorkload& w) {
+  DaatProcessor daat(/*top_k=*/kTopK);
+  std::uint64_t checksum = 0;
+  const double wall = daat_loop<false>(daat, *w.daat, w.batch, checksum,
+                                       nullptr);
+  const auto queries = static_cast<std::uint64_t>(w.batch.size());
   return PhaseResult{"daat", queries, wall,
                      1000.0 * static_cast<double>(queries) / wall, checksum,
                      kDaatPin, queries == kFullDaatQueries};
 }
 
 /// Zero-overhead guard: the telemetry layer must never tax the hot path
-/// when it is off. Runs the daat loop with spans compiled out and with
-/// spans compiled in against an idle (runtime-disabled) tracer, in
-/// alternating min-of-N pairs; the checksums must match bit-for-bit and
-/// the instrumented wall time must stay within 10 %.
+/// when it is off. One pass over the daat batch in blocks of
+/// kGuardBlock queries; each block runs with spans compiled out and
+/// with spans compiled in against an idle (runtime-disabled) tracer,
+/// alternating which goes first, each variant on its own processor.
+/// The checksums must match bit-for-bit and the instrumented wall time,
+/// summed over the blocks, must stay within 10 % of the compiled-out
+/// sum.
 struct TraceGuardResult {
   std::uint64_t fingerprint_off = 0;
   std::uint64_t fingerprint_on = 0;
-  double wall_ratio = 0;  // instrumented-idle / compiled-out (min-of-N)
+  double wall_ratio = 0;  // instrumented-idle / compiled-out, block sums
   bool enforced = false;  // qps bound enforced (Release builds)
   bool pass = false;
 };
 
-TraceGuardResult run_trace_guard(std::uint64_t queries) {
-  DaatWorkload w(queries);
+constexpr std::size_t kGuardBlock = 256;
+
+TraceGuardResult run_trace_guard(const DaatWorkload& w) {
   telemetry::QueryTracer tracer;
   tracer.set_enabled(false);  // compiled in, runtime-idle
+  DaatProcessor daat_off(/*top_k=*/kTopK);
+  DaatProcessor daat_on(/*top_k=*/kTopK);
 
   TraceGuardResult g;
-  double best_off = 0, best_on = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    auto t0 = Clock::now();
-    g.fingerprint_off = daat_loop<false>(w, nullptr);
-    const double off = ms_since(t0);
-    t0 = Clock::now();
-    g.fingerprint_on = daat_loop<true>(w, &tracer);
-    const double on = ms_since(t0);
-    if (rep == 0 || off < best_off) best_off = off;
-    if (rep == 0 || on < best_on) best_on = on;
+  double off_ms = 0, on_ms = 0;
+  const std::span<const Query> batch(w.batch);
+  for (std::size_t begin = 0; begin < batch.size(); begin += kGuardBlock) {
+    const auto block =
+        batch.subspan(begin, std::min(kGuardBlock, batch.size() - begin));
+    const bool off_first = (begin / kGuardBlock) % 2 == 0;
+    if (off_first) {
+      off_ms += daat_loop<false>(daat_off, *w.daat, block, g.fingerprint_off,
+                                 nullptr);
+    }
+    on_ms += daat_loop<true>(daat_on, *w.daat, block, g.fingerprint_on,
+                             &tracer);
+    if (!off_first) {
+      off_ms += daat_loop<false>(daat_off, *w.daat, block, g.fingerprint_off,
+                                 nullptr);
+    }
   }
-  g.wall_ratio = best_off > 0 ? best_on / best_off : 1.0;
+  g.wall_ratio = off_ms > 0 ? on_ms / off_ms : 1.0;
 #ifdef NDEBUG
   g.enforced = true;
 #endif
@@ -193,12 +210,13 @@ int main() {
     pins_ok = pins_ok && (!p.pin_enforced || p.pin_match());
     phases.push_back(p);
   };
-  record(run_daat_phase(daat_queries));
+  const DaatWorkload daat_workload(daat_queries);
+  record(run_daat_phase(daat_workload));
   record(run_cache_phase(system_queries));
   record(run_ssd_phase(system_queries, telemetry_out));
   std::printf("wrote %s\n", telemetry_out);
 
-  const TraceGuardResult guard = run_trace_guard(daat_queries);
+  const TraceGuardResult guard = run_trace_guard(daat_workload);
   std::printf("  trace guard: wall ratio %.3f (idle-instrumented / "
               "compiled-out), fingerprints %llu vs %llu%s\n",
               guard.wall_ratio,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
 namespace ssdse {
 
@@ -46,8 +45,7 @@ SearchCluster::SearchCluster(const ClusterConfig& cfg) : cfg_(cfg) {
   broker_registry_.counter("cluster.broker.failovers", &failovers_total_);
   broker_registry_.counter("cluster.broker.backoff_us", &backoff_us_total_);
   // Replica-fleet aggregates are pulled from the groups at snapshot
-  // time (after any run_parallel join), so the broker registry never
-  // races shard threads.
+  // time.
   broker_registry_.counter_fn("cluster.broker.routing_changes", [this] {
     std::uint64_t total = 0;
     for (const auto& g : groups_) total += g->routing_changes();
@@ -98,20 +96,20 @@ SearchCluster::SearchCluster(const ClusterConfig& cfg) : cfg_(cfg) {
       &broker_tracer_.stage_hist(telemetry::TraceStage::kBrokerRetry));
 }
 
-SearchCluster::ClusterOutcome SearchCluster::merge_replies(
-    QueryId qid, std::vector<GroupReply> replies) {
+SearchCluster::ClusterOutcome SearchCluster::execute(const Query& q) {
   ClusterOutcome out;
   const Micros deadline = cfg_.shard_deadline;
   const bool policy = cfg_.replication.active();
   ++broker_queries_;
-  broker_tracer_.begin_query(qid);
+  broker_tracer_.begin_query(q.id);
 
   std::vector<ScoredDoc> merged;
   Situation worst_situation = Situation::kS1_ResultMemory;
   Micros wait = micros(0);
   Micros retry_overhead = micros(0);
-  for (std::size_t s = 0; s < replies.size(); ++s) {
-    const GroupReply& r = replies[s];
+  Micros slowest_included = micros(0);
+  for (std::size_t s = 0; s < groups_.size(); ++s) {
+    const GroupReply r = groups_[s]->serve(q);
     out.slowest_shard = std::max(out.slowest_shard, r.response);
     out.retries += r.retries;
     out.hedges += r.hedges;
@@ -137,6 +135,10 @@ SearchCluster::ClusterOutcome SearchCluster::merge_replies(
     }
     ++out.shards_included;
     if (policy) wait = std::max(wait, r.response);
+    if (out.shards_included == 1 || r.response > slowest_included) {
+      slowest_included = r.response;
+      out.trace = r.trace;
+    }
     // The broker reports the situation of the slowest *included* path.
     if (static_cast<int>(r.situation) >
         static_cast<int>(worst_situation)) {
@@ -156,10 +158,8 @@ SearchCluster::ClusterOutcome SearchCluster::merge_replies(
   hedges_total_ += out.hedges;
   hedge_wins_total_ += out.hedge_wins;
   failovers_total_ += out.failovers;
-  out.coverage = replies.empty()
-                     ? 0.0
-                     : static_cast<double>(out.shards_included) /
-                           static_cast<double>(replies.size());
+  out.coverage = static_cast<double>(out.shards_included) /
+                 static_cast<double>(groups_.size());
   coverage_ppm_sum_ +=
       static_cast<std::uint64_t>(std::llround(out.coverage * 1e6));
 
@@ -173,7 +173,7 @@ SearchCluster::ClusterOutcome SearchCluster::merge_replies(
                       return a.doc < b.doc;
                     });
   merged.resize(k);
-  out.result.query = qid;
+  out.result.query = q.id;
   out.result.docs = std::move(merged);
 
   // With no deadline (or none late) the broker waits for the slowest
@@ -199,57 +199,9 @@ SearchCluster::ClusterOutcome SearchCluster::merge_replies(
   return out;
 }
 
-SearchCluster::ClusterOutcome SearchCluster::execute(const Query& q) {
-  std::vector<GroupReply> replies;
-  replies.reserve(groups_.size());
-  for (auto& group : groups_) {
-    replies.push_back(group->serve(q));
-  }
-  return merge_replies(q.id, std::move(replies));
-}
-
 void SearchCluster::run(std::uint64_t n) {
   for (std::uint64_t i = 0; i < n; ++i) {
     execute(gen_->next());
-  }
-}
-
-void SearchCluster::run_parallel(std::uint64_t n) {
-  // Materialize the broadcast stream once so every shard thread replays
-  // exactly the queries run() would have issued.
-  std::vector<Query> stream;
-  stream.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) stream.push_back(gen_->next());
-
-  std::vector<std::vector<GroupReply>> per_group(groups_.size());
-
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(groups_.size());
-    for (std::size_t s = 0; s < groups_.size(); ++s) {
-      workers.emplace_back([&, s] {
-        // The whole policy stack runs on the group's thread: replicas,
-        // health state, breakers, and the per-group jitter Rng are all
-        // owned by the group, so the attempt sequence — and therefore
-        // every counter — matches run() exactly.
-        auto& out = per_group[s];
-        out.reserve(stream.size());
-        for (const Query& q : stream) {
-          out.push_back(groups_[s]->serve(q));
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-  }
-
-  // Broker phase, sequential: identical merge + metrics as run().
-  for (std::uint64_t i = 0; i < stream.size(); ++i) {
-    std::vector<GroupReply> replies;
-    replies.reserve(groups_.size());
-    for (std::size_t s = 0; s < groups_.size(); ++s) {
-      replies.push_back(std::move(per_group[s][i]));
-    }
-    merge_replies(stream[i].id, std::move(replies));
   }
 }
 

@@ -108,19 +108,18 @@ class SearchCluster {
     std::uint32_t failovers = 0;        // groups whose first try was not replica 0
     double coverage = 1.0;     // shards_included / num_shards
     ResultEntry result;        // merged global top-K (included shards)
+    /// Tail attribution: the trace of the slowest included group's
+    /// winning attempt; nullptr when no group was included or that
+    /// replica's tracing is off. Its replica's next traced query
+    /// overwrites it.
+    const telemetry::QueryTrace* trace = nullptr;
   };
 
+  /// Broadcast one query: serve it on each group in shard order and
+  /// fold each reply into the merge as it arrives (deadline/failure
+  /// filtering, global top-K, response-time assembly, metrics).
   ClusterOutcome execute(const Query& q);
   void run(std::uint64_t n);
-
-  /// Parallel run: one thread per shard group replays the same
-  /// broadcast stream through the full policy stack (groups are fully
-  /// independent simulations — replicas, health state, and the
-  /// per-group policy Rng are all group-confined), then the broker
-  /// merge happens query-by-query on the caller's thread.
-  /// Bit-identical to run() — including all metrics and retry/hedge
-  /// counters — just faster on multicore hosts.
-  void run_parallel(std::uint64_t n);
 
   [[nodiscard]] std::uint32_t num_shards() const {
     return static_cast<std::uint32_t>(groups_.size());
@@ -159,11 +158,6 @@ class SearchCluster {
   [[nodiscard]] ReplicationSnapshot replication_snapshot() const;
 
  private:
-  /// The broker phase for one query: deadline/failure filtering, global
-  /// top-K merge, response-time assembly, metrics. Shared by run() and
-  /// run_parallel() so the two stay bit-identical.
-  ClusterOutcome merge_replies(QueryId qid, std::vector<GroupReply> replies);
-
   ClusterConfig cfg_;
   std::vector<std::unique_ptr<ReplicaGroup>> groups_;
   std::unique_ptr<QueryLogGenerator> gen_;

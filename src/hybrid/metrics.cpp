@@ -81,10 +81,6 @@ void RunMetrics::register_into(telemetry::MetricsRegistry& registry,
   }
   registry.counter(prefix + ".coverage.covered", &covered_requests_);
   registry.counter(prefix + ".coverage.implied", &implied_requests_);
-  registry.gauge(prefix + ".coverage.ratio",
-                 [this] { return request_coverage(); });
-  registry.gauge(prefix + ".cache_served_fraction",
-                 [this] { return cache_served_fraction(); });
 }
 
 double RunMetrics::throughput_qps(Micros background_time) const {

@@ -78,6 +78,7 @@ ReplicaGroup::Attempt ReplicaGroup::run_attempt(std::size_t r,
   a.t = out.response;
   a.situation = out.situation;
   a.docs = std::move(out.result.docs);
+  a.trace = out.trace;
   a.faulted = events > 0 || (deadline_ > Micros{} && a.t > deadline_);
 
   ReplicaState& st = states_[r];
@@ -144,6 +145,7 @@ GroupReply ReplicaGroup::serve(const Query& q) {
     reply.faulted = events > 0;
     reply.observed_faults = events;
     reply.docs = std::move(out.result.docs);
+    reply.trace = out.trace;
     return reply;
   }
 
@@ -152,10 +154,7 @@ GroupReply ReplicaGroup::serve(const Query& q) {
   pick_order(order);
 
   GroupReply reply;
-  if (order[0] != 0) {
-    ++failovers_;
-    reply.failovers = 1;
-  }
+  if (order[0] != 0) reply.failovers = 1;
   if (order[0] != last_first_) {
     ++routing_changes_;
     last_first_ = order[0];
@@ -171,12 +170,10 @@ GroupReply ReplicaGroup::serve(const Query& q) {
   // path.
   if (rep_.hedge_delay > Micros{} && order.size() > 1 &&
       win.t > rep_.hedge_delay) {
-    ++hedges_;
     ++reply.hedges;
     Attempt hedge = run_attempt(order[next_slot], q);
     ++next_slot;
     if (rep_.hedge_delay + hedge.t < win.t) {
-      ++hedge_wins_;
       ++reply.hedge_wins;
       win = std::move(hedge);
       win.t += rep_.hedge_delay;
@@ -197,7 +194,6 @@ GroupReply ReplicaGroup::serve(const Query& q) {
     }
     elapsed += noticed + pause;
     reply.backoff_us += pause;
-    ++retries_;
     ++reply.retries;
     win = run_attempt(order[next_slot % order.size()], q);
     ++next_slot;
@@ -208,6 +204,7 @@ GroupReply ReplicaGroup::serve(const Query& q) {
   reply.faulted = win.faulted;
   reply.situation = win.situation;
   reply.docs = std::move(win.docs);
+  reply.trace = win.trace;
   reply.response = elapsed + win.t;
   reply.noticed = late ? elapsed + deadline_ : reply.response;
   reply.overhead = reply.response - win.t;

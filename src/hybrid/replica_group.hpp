@@ -114,6 +114,9 @@ struct GroupReply {
   std::uint64_t observed_faults = 0;  // fault-counter deltas this query
   Micros backoff_us = micros(0);            // jittered pauses charged this query
   Micros overhead = micros(0);              // response minus final attempt time
+  /// The winning attempt's trace on its replica (nullptr with tracing
+  /// off); that replica's next traced query overwrites it.
+  const telemetry::QueryTrace* trace = nullptr;
 };
 
 class ReplicaGroup {
@@ -149,19 +152,15 @@ class ReplicaGroup {
     return states_[r];
   }
 
-  // Group-side policy totals (must equal the broker-side sums over the
-  // per-query replies; asserted in tests).
+  // Group-side totals the broker pulls at snapshot time. Retries,
+  // hedges, hedge wins and failovers have one count, the broker's
+  // (cluster.broker.*), summed from the per-query replies.
+  /// Replica attempts, retries and hedges included.
   [[nodiscard]] std::uint64_t dispatches() const { return dispatches_; }
-  [[nodiscard]] std::uint64_t retries() const { return retries_; }
-  [[nodiscard]] std::uint64_t hedges() const { return hedges_; }
-  [[nodiscard]] std::uint64_t hedge_wins() const { return hedge_wins_; }
-  /// Served requests whose first attempt went to a replica other than
-  /// 0 (one per request, not per routing change).
-  [[nodiscard]] std::uint64_t failovers() const { return failovers_; }
   /// Policy-path requests whose first replica differs from the previous
   /// request's (the group's first request compares against replica 0).
-  /// At most 2 x failovers(): each change starts a request on a
-  /// non-primary replica or ends a run of them.
+  /// At most twice the group's failed-over requests: each change starts
+  /// a request on a non-primary replica or ends a run of them.
   [[nodiscard]] std::uint64_t routing_changes() const {
     return routing_changes_;
   }
@@ -188,6 +187,7 @@ class ReplicaGroup {
     bool faulted = false;
     Situation situation = Situation::kS1_ResultMemory;
     std::vector<ScoredDoc> docs;
+    const telemetry::QueryTrace* trace = nullptr;
   };
   Attempt run_attempt(std::size_t r, const Query& q);
 
@@ -204,10 +204,6 @@ class ReplicaGroup {
   Rng rng_;  // jitter draws only; never advanced unless a retry fires
 
   std::uint64_t dispatches_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t hedges_ = 0;
-  std::uint64_t hedge_wins_ = 0;
-  std::uint64_t failovers_ = 0;
   std::uint64_t routing_changes_ = 0;
   std::size_t last_first_ = 0;  // first replica of the previous request
   std::uint64_t observed_faults_ = 0;

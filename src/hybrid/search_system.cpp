@@ -196,9 +196,6 @@ void SearchSystem::register_telemetry() {
   r.counter("cache.stale.ssd_list_misses", &cs->stale_ssd_list_misses);
   r.gauge("cache.background.flash_us",
           [cs] { return cs->background_flash_time.value(); });
-  r.gauge("cache.result.hit_ratio", [cs] { return cs->result_hit_ratio(); });
-  r.gauge("cache.list.hit_ratio", [cs] { return cs->list_hit_ratio(); });
-  r.gauge("cache.hit_ratio", [cs] { return cs->hit_ratio(); });
 
   // Fault / degradation accounting (DESIGN.md §10). All zero and inert
   // in fault-free runs.
@@ -243,8 +240,6 @@ void SearchSystem::register_telemetry() {
     r.counter("ssd.cache.nand.page_reads", &ns->page_reads);
     r.counter("ssd.cache.nand.page_programs", &ns->page_programs);
     r.counter("ssd.cache.nand.block_erases", &ns->block_erases);
-    r.gauge("ssd.cache.write_amplification",
-            [fs, ns] { return fs->write_amplification(*ns); });
     r.gauge("ssd.cache.wear.mean_erases",
             [ssd] { return ssd->nand().mean_erase_count(); });
     r.gauge("ssd.cache.wear.max_erases", [ssd] {
@@ -365,7 +360,7 @@ SearchSystem::QueryOutcome SearchSystem::execute(const Query& q) {
         trace_gc0;
     if (bg > gc) tracer_.add_span(TraceStage::kWriteBufferFlush, bg - gc);
     if (gc > Micros{}) tracer_.add_span(TraceStage::kFtlGc, gc);
-    tracer_.end_query(total);
+    out.trace = tracer_.end_query(total);
   };
 
   const auto implied = static_cast<std::uint64_t>(1 + q.terms.size());

@@ -56,6 +56,9 @@ class SearchSystem {
     Situation situation = Situation::kS9_ListsHdd;
     bool result_from_cache = false;
     ResultEntry result;
+    /// This query's trace; nullptr with tracing off. This system's next
+    /// traced query overwrites it.
+    const telemetry::QueryTrace* trace = nullptr;
   };
 
   /// Execute one query end to end (QM -> scoring -> RM).

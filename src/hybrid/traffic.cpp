@@ -31,25 +31,13 @@ Micros ClusterTrafficTarget::serve(const Query& q) {
   background_prev_ = background_now;
   last_coverage_ = out.coverage;
 
-  // Critical path = slowest replica + broker merge (+ retry/hedge
-  // overhead when the policy stack fired). Pick the replica whose
-  // per-query trace has the largest total; with tracing compiled out
-  // or disabled no replica has a trace and attribution degrades to the
-  // harness pseudo-stages.
-  have_trace_ = false;
-  const telemetry::QueryTrace* slowest = nullptr;
-  for (std::uint32_t s = 0; s < cluster_.num_shards(); ++s) {
-    const ReplicaGroup& g = cluster_.group(s);
-    for (std::size_t r = 0; r < g.num_replicas(); ++r) {
-      const telemetry::QueryTrace* t = g.replica(r).tracer().last();
-      if (t != nullptr &&
-          (slowest == nullptr || t->total > slowest->total)) {
-        slowest = t;
-      }
-    }
-  }
-  if (slowest != nullptr) {
-    combined_ = *slowest;
+  // Critical path = the slowest included group's winning attempt +
+  // broker merge (+ retry/hedge overhead when the policy stack fired).
+  // With tracing off on that replica there is no trace and attribution
+  // degrades to the harness pseudo-stages.
+  have_trace_ = out.trace != nullptr;
+  if (have_trace_) {
+    combined_ = *out.trace;
     if (const telemetry::QueryTrace* b = cluster_.broker_tracer().last()) {
       for (const auto stage : {telemetry::TraceStage::kBrokerMerge,
                                telemetry::TraceStage::kBrokerRetry}) {
@@ -60,7 +48,6 @@ Micros ClusterTrafficTarget::serve(const Query& q) {
       }
     }
     combined_.total = out.response;
-    have_trace_ = true;
   }
   return service;
 }

@@ -35,10 +35,11 @@ class SystemTrafficTarget final : public TrafficTarget {
 /// the broker-observed response plus the summed background flash delta
 /// across all replicas of all shards (hedges and retries burn device
 /// time on whichever replica served them). The reported trace is the
-/// slowest replica's span breakdown plus the broker's merge and
-/// retry/hedge spans, so tail attribution sees the whole critical
-/// path. Coverage of the last broker merge feeds coverage-floored
-/// SLOs (partial results burn error budget, DESIGN.md §15).
+/// span breakdown of the slowest included group's winning attempt plus
+/// the broker's merge and retry/hedge spans, so tail attribution sees
+/// the critical path of the answer. Coverage of the last broker merge
+/// feeds coverage-floored SLOs (partial results burn error budget,
+/// DESIGN.md §15).
 class ClusterTrafficTarget final : public TrafficTarget {
  public:
   explicit ClusterTrafficTarget(SearchCluster& cluster);

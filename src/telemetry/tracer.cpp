@@ -1,7 +1,5 @@
 #include "src/telemetry/tracer.hpp"
 
-#include <algorithm>
-
 namespace ssdse::telemetry {
 
 const char* to_string(TraceStage stage) {
@@ -22,9 +20,6 @@ const char* to_string(TraceStage stage) {
   return "unknown";
 }
 
-QueryTracer::QueryTracer(std::size_t ring_capacity)
-    : ring_capacity_(std::max<std::size_t>(ring_capacity, 1)) {}
-
 void QueryTracer::begin_query(QueryId qid) {
   if (!enabled_) return;
   current_ = QueryTrace{};
@@ -38,44 +33,22 @@ void QueryTracer::add_span(TraceStage stage, Micros dur) {
   current_.touched |= 1u << i;
 }
 
-void QueryTracer::end_query(Micros total) {
-  if (!enabled_) return;
+const QueryTrace* QueryTracer::end_query(Micros total) {
+  if (!enabled_) return nullptr;
   current_.total = total;
   for (std::size_t i = 0; i < kNumTraceStages; ++i) {
     if (!(current_.touched & (1u << i))) continue;
     hists_[i].add(current_.stage_us[i]);
   }
   ++traced_;
-  if (ring_.size() < ring_capacity_) {
-    ring_.push_back(current_);
-    ring_next_ = ring_.size() % ring_capacity_;
-    ring_full_ = ring_.size() == ring_capacity_;
-  } else {
-    ring_[ring_next_] = current_;
-    ring_next_ = (ring_next_ + 1) % ring_capacity_;
-  }
-}
-
-std::vector<QueryTrace> QueryTracer::recent() const {
-  std::vector<QueryTrace> out;
-  out.reserve(ring_.size());
-  if (!ring_full_) {
-    out = ring_;
-    return out;
-  }
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(ring_next_ + i) % ring_.size()]);
-  }
-  return out;
+  last_ = current_;
+  return &last_;
 }
 
 void QueryTracer::clear() {
   traced_ = 0;
   current_ = QueryTrace{};
   hists_.fill(LatencyHistogram{});
-  ring_.clear();
-  ring_next_ = 0;
-  ring_full_ = false;
 }
 
 }  // namespace ssdse::telemetry

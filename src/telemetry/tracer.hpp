@@ -4,8 +4,8 @@
 // to its `Micros` accumulator (result probe, per-tier list fetches,
 // scoring) plus background flash work it triggers. The tracer attributes
 // those microseconds to a fixed span taxonomy and keeps (a) one
-// per-stage LatencyHistogram for the whole run and (b) a bounded ring
-// buffer of complete per-query traces for tail inspection.
+// per-stage LatencyHistogram for the whole run and (b) the last
+// complete per-query trace, which tail attribution reads.
 //
 // The one switch is `set_enabled`: with it off, instrumentation reduces
 // to one branch per span site.
@@ -14,7 +14,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/util/stats.hpp"
 #include "src/util/types.hpp"
@@ -59,8 +58,6 @@ struct QueryTrace {
 
 class QueryTracer {
  public:
-  explicit QueryTracer(std::size_t ring_capacity = 1024);
-
   void set_enabled(bool on) { enabled_ = on; }
 
   void begin_query(QueryId qid);
@@ -70,9 +67,9 @@ class QueryTracer {
   /// one list fetch per term).
   void add_span(TraceStage stage, Micros dur);
 
-  /// Close the current query, feed per-stage aggregates, and push the
-  /// trace into the ring buffer.
-  void end_query(Micros total);
+  /// Close the current query, feed per-stage aggregates, and keep the
+  /// trace as last(). Returns it, or nullptr when tracing is off.
+  const QueryTrace* end_query(Micros total);
 
   [[nodiscard]] std::uint64_t queries_traced() const { return traced_; }
 
@@ -80,15 +77,11 @@ class QueryTracer {
     return hists_[static_cast<std::size_t>(s)];
   }
 
-  /// Ring contents, oldest first. At most `ring_capacity` traces.
-  [[nodiscard]] std::vector<QueryTrace> recent() const;
-
   /// The most recently completed trace, or nullptr when none has been
-  /// recorded (tracing disabled, or no query ended yet). The pointer is
-  /// invalidated by the next end_query()/clear().
+  /// recorded (tracing disabled, or no query ended yet). The next
+  /// end_query() overwrites it; clear() drops it.
   [[nodiscard]] const QueryTrace* last() const {
-    if (ring_.empty()) return nullptr;
-    return &ring_[(ring_next_ + ring_.size() - 1) % ring_.size()];
+    return traced_ > 0 ? &last_ : nullptr;
   }
 
   void clear();
@@ -97,11 +90,8 @@ class QueryTracer {
   bool enabled_ = true;
   std::uint64_t traced_ = 0;
   QueryTrace current_;
+  QueryTrace last_;
   std::array<LatencyHistogram, kNumTraceStages> hists_;
-  std::vector<QueryTrace> ring_;
-  std::size_t ring_capacity_;
-  std::size_t ring_next_ = 0;
-  bool ring_full_ = false;
 };
 
 }  // namespace ssdse::telemetry

@@ -24,8 +24,9 @@ LatencyHistogram& WindowedSeries::cell_for(std::uint64_t index) {
     cells_.push_back(WindowCell{index, LatencyHistogram{}});
     return cells_.back().hist;
   }
-  // Out-of-order sample (e.g. merging per-server completion streams):
-  // binary-search the sorted cell list and insert if missing.
+  // Out-of-order sample (a completion that lands in an earlier window
+  // than the last one recorded): binary-search the sorted cell list and
+  // insert if missing.
   auto it = std::lower_bound(
       cells_.begin(), cells_.end(), index,
       [](const WindowCell& c, std::uint64_t i) { return c.index < i; });
@@ -50,16 +51,6 @@ const WindowCell* WindowedSeries::cell(std::uint64_t index) const {
 
 std::uint64_t WindowedSeries::last_index() const {
   return cells_.empty() ? 0 : cells_.back().index;
-}
-
-void WindowedSeries::merge(const WindowedSeries& other) {
-  if (width_ != other.width_) {
-    throw std::invalid_argument("WindowedSeries: width mismatch in merge");
-  }
-  for (const WindowCell& c : other.cells_) {
-    cell_for(c.index).merge(c.hist);
-  }
-  total_ += other.total_;
 }
 
 WindowedCounter::WindowedCounter(Micros width) : width_(width) {
@@ -97,16 +88,6 @@ std::uint64_t WindowedCounter::at(std::uint64_t index) const {
 
 std::uint64_t WindowedCounter::last_index() const {
   return cells_.empty() ? 0 : cells_.back().index;
-}
-
-void WindowedCounter::merge(const WindowedCounter& other) {
-  if (width_ != other.width_) {
-    throw std::invalid_argument("WindowedCounter: width mismatch in merge");
-  }
-  for (const Cell& c : other.cells_) {
-    add(static_cast<double>(c.index) * width_, c.count);
-  }
-  // add() already accumulated the counts into total_.
 }
 
 }  // namespace ssdse::telemetry

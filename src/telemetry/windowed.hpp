@@ -6,10 +6,7 @@
 // blows up latency for two seconds is visible as two bad windows
 // instead of a slightly fatter run aggregate. A WindowedSeries keeps
 // one LatencyHistogram per fixed-width window of the simulated clock;
-// a WindowedCounter keeps one counter per window. Both merge across
-// shards the same way RegistrySnapshot does: matching windows combine
-// bucket-exactly, so fleet-wide per-window quantiles equal the
-// quantiles of the union stream.
+// a WindowedCounter keeps one counter per window.
 //
 // Windows are created lazily on first sample (a quiet series costs
 // nothing) and kept sorted by index; the common case — simulated time
@@ -56,11 +53,6 @@ class WindowedSeries {
   /// Largest populated window index; 0 when the series is empty.
   [[nodiscard]] std::uint64_t last_index() const;
 
-  /// Fold another shard's series in. Widths must match (throws
-  /// std::invalid_argument otherwise); matching windows merge
-  /// bucket-exactly, windows only one side saw are copied.
-  void merge(const WindowedSeries& other);
-
  private:
   LatencyHistogram& cell_for(std::uint64_t index);
 
@@ -69,8 +61,8 @@ class WindowedSeries {
   std::vector<WindowCell> cells_;
 };
 
-/// Per-window event counter over simulated time (same keying and merge
-/// semantics as WindowedSeries, without the histograms).
+/// Per-window event counter over simulated time (same keying as
+/// WindowedSeries, without the histograms).
 class WindowedCounter {
  public:
   explicit WindowedCounter(Micros width = kSecond);
@@ -82,8 +74,6 @@ class WindowedCounter {
   /// Count in window `index` (0 for windows never incremented).
   [[nodiscard]] std::uint64_t at(std::uint64_t index) const;
   [[nodiscard]] std::uint64_t last_index() const;
-
-  void merge(const WindowedCounter& other);
 
  private:
   struct Cell {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/hybrid/cluster.hpp"
+#include "src/hybrid/traffic.hpp"
 
 namespace ssdse {
 namespace {
@@ -21,8 +22,8 @@ ClusterConfig small_cluster(std::uint32_t shards) {
 }
 
 /// Median slowest-shard time over a short probe run: a deadline that
-/// provably drops some-but-not-all replies (same calibration as the
-/// parallel stress suite; the simulation is deterministic).
+/// provably drops some-but-not-all replies (the simulation is
+/// deterministic).
 Micros calibrated_deadline(std::uint32_t shards) {
   SearchCluster probe(small_cluster(shards));
   std::vector<Micros> slowest;
@@ -297,6 +298,38 @@ TEST(ReplicaTest, WarmupDoesNotCountAsFailoverOnHealthyCluster) {
                    cluster.metrics().mean_response().value());
   EXPECT_DOUBLE_EQ(baseline.metrics().total_response_time().value(),
                    cluster.metrics().total_response_time().value());
+}
+
+// --- Tail attribution ---------------------------------------------------
+
+// The trace a cluster traffic target reports must come from a replica
+// that ran this query. With failover routing around a spiky primary,
+// that primary sits idle for most queries, and its last trace, which
+// belongs to an older query, often has the largest total.
+TEST(ReplicaTest, TailTraceComesFromAReplicaThatServedTheQuery) {
+  ClusterConfig cfg = small_cluster(2);
+  cfg.replication.replication_factor = 2;
+  cfg.replication.hedge_delay = ms(20);
+  cfg.replication.failover = true;
+  for (std::uint32_t s = 0; s < cfg.num_shards; ++s) {
+    ReplicaFaultOverride spiky;
+    spiky.shard = s;
+    spiky.replica = 0;
+    spiky.hdd.latency_spike_rate = 0.2;
+    cfg.replica_faults.push_back(spiky);
+  }
+  SearchCluster cluster(cfg);
+  ClusterTrafficTarget target(cluster);
+  std::uint64_t foreign = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const Query q = cluster.generator().next();
+    (void)target.serve(q);
+    const telemetry::QueryTrace* t = target.last_trace();
+    ASSERT_NE(t, nullptr);
+    if (t->query != q.id) ++foreign;
+  }
+  EXPECT_EQ(foreign, 0u);
+  EXPECT_GT(cluster.replication_snapshot().failovers, 0u);
 }
 
 // --- Honest accounting -------------------------------------------------

@@ -20,6 +20,7 @@ namespace {
 using telemetry::JsonWriter;
 using telemetry::MetricKind;
 using telemetry::MetricsRegistry;
+using telemetry::QueryTrace;
 using telemetry::QueryTracer;
 using telemetry::RegistrySnapshot;
 using telemetry::TraceStage;
@@ -193,20 +194,20 @@ TEST(TracerTest, SpansAccumulateAndFeedAggregates) {
   t.add_span(TraceStage::kResultProbe, micros(10.0));
   t.add_span(TraceStage::kListFetchHdd, micros(5000.0));
   t.add_span(TraceStage::kListFetchHdd, micros(3000.0));  // repeated stage adds
-  t.end_query(micros(8010.0));
+  const QueryTrace* ended = t.end_query(micros(8010.0));
   EXPECT_EQ(t.queries_traced(), 1u);
-  const auto recent = t.recent();
-  ASSERT_EQ(recent.size(), 1u);
-  EXPECT_EQ(recent[0].query, QueryId{1});
-  EXPECT_DOUBLE_EQ(recent[0].total.value(), 8010.0);
+  const QueryTrace* last = t.last();
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(ended, last);
+  EXPECT_EQ(last->query, QueryId{1});
+  EXPECT_DOUBLE_EQ(last->total.value(), 8010.0);
   EXPECT_DOUBLE_EQ(
-      recent[0]
-          .stage_us[static_cast<std::size_t>(TraceStage::kListFetchHdd)]
+      last->stage_us[static_cast<std::size_t>(TraceStage::kListFetchHdd)]
           .value(),
       8000.0);
-  EXPECT_TRUE(recent[0].touched_stage(TraceStage::kResultProbe));
-  EXPECT_TRUE(recent[0].touched_stage(TraceStage::kListFetchHdd));
-  EXPECT_FALSE(recent[0].touched_stage(TraceStage::kScore));
+  EXPECT_TRUE(last->touched_stage(TraceStage::kResultProbe));
+  EXPECT_TRUE(last->touched_stage(TraceStage::kListFetchHdd));
+  EXPECT_FALSE(last->touched_stage(TraceStage::kScore));
   // Untouched stages contribute nothing to aggregates.
   EXPECT_EQ(t.stage_hist(TraceStage::kScore).count(), 0u);
   EXPECT_EQ(t.stage_hist(TraceStage::kListFetchHdd).count(), 1u);
@@ -214,19 +215,17 @@ TEST(TracerTest, SpansAccumulateAndFeedAggregates) {
   EXPECT_EQ(t.stage_hist(TraceStage::kResultProbe).count(), 1u);
 }
 
-TEST(TracerTest, RingKeepsNewestOldestFirst) {
-  QueryTracer t(/*ring_capacity=*/3);
+TEST(TracerTest, LastIsTheNewestTrace) {
+  QueryTracer t;
+  EXPECT_EQ(t.last(), nullptr);  // nothing traced yet
   for (QueryId q{}; q < QueryId{10}; ++q) {
     t.begin_query(q);
     t.add_span(TraceStage::kScore, micros(1.0));
     t.end_query(micros(1.0));
   }
   EXPECT_EQ(t.queries_traced(), 10u);
-  const auto recent = t.recent();
-  ASSERT_EQ(recent.size(), 3u);  // bounded by capacity
-  EXPECT_EQ(recent[0].query.raw(), 7u);
-  EXPECT_EQ(recent[1].query, QueryId{8});
-  EXPECT_EQ(recent[2].query, QueryId{9});
+  ASSERT_NE(t.last(), nullptr);
+  EXPECT_EQ(t.last()->query, QueryId{9});
   // Aggregates still cover all 10 queries.
   EXPECT_EQ(t.stage_hist(TraceStage::kScore).count(), 10u);
 }
@@ -236,14 +235,14 @@ TEST(TracerTest, DisabledRecordsNothing) {
   t.set_enabled(false);
   t.begin_query(QueryId{1});
   t.add_span(TraceStage::kScore, micros(5.0));
-  t.end_query(micros(5.0));
+  EXPECT_EQ(t.end_query(micros(5.0)), nullptr);
   EXPECT_EQ(t.queries_traced(), 0u);
-  EXPECT_TRUE(t.recent().empty());
+  EXPECT_EQ(t.last(), nullptr);
   EXPECT_EQ(t.stage_hist(TraceStage::kScore).count(), 0u);
 }
 
 TEST(TracerTest, ClearResetsEverything) {
-  QueryTracer t(/*ring_capacity=*/2);
+  QueryTracer t;
   for (QueryId q{}; q < QueryId{5}; ++q) {
     t.begin_query(q);
     t.add_span(TraceStage::kResultProbe, micros(1.0));
@@ -251,14 +250,15 @@ TEST(TracerTest, ClearResetsEverything) {
   }
   t.clear();
   EXPECT_EQ(t.queries_traced(), 0u);
-  EXPECT_TRUE(t.recent().empty());
+  EXPECT_EQ(t.last(), nullptr);
   EXPECT_EQ(t.stage_hist(TraceStage::kResultProbe).count(), 0u);
   // Still usable after clear.
   t.begin_query(QueryId{9});
   t.add_span(TraceStage::kResultProbe, micros(2.0));
   t.end_query(micros(2.0));
   EXPECT_EQ(t.queries_traced(), 1u);
-  EXPECT_EQ(t.recent()[0].query, QueryId{9});
+  ASSERT_NE(t.last(), nullptr);
+  EXPECT_EQ(t.last()->query, QueryId{9});
 }
 
 TEST(TracerTest, StageNamesAreStableSchema) {
@@ -375,8 +375,8 @@ TEST(ClusterTelemetryTest, SnapshotSumsShardCounters) {
   ASSERT_NE(merged.find("cache.result.probes"), nullptr);
   EXPECT_EQ(merged.find("cache.result.probes")->counter, probes);
   // Gauges carry one sample per shard.
-  ASSERT_NE(merged.find("cache.result.hit_ratio"), nullptr);
-  EXPECT_EQ(merged.find("cache.result.hit_ratio")->gauge.count(), 3u);
+  ASSERT_NE(merged.find("query.throughput_qps"), nullptr);
+  EXPECT_EQ(merged.find("query.throughput_qps")->gauge.count(), 3u);
 }
 
 }  // namespace

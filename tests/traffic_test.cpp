@@ -73,58 +73,15 @@ TEST(WindowedTest, EmptyWindowHasNoCellAndZeroQuantile) {
   LatencyHistogram empty;
   EXPECT_EQ(empty.quantile(0.5), 0.0);
   EXPECT_EQ(empty.quantile(0.99), 0.0);
-}
-
-TEST(WindowedTest, MergePartiallyFilledShards) {
-  // Shard A saw windows {0, 1}; shard B saw {1, 2}. The merged series
-  // must equal the union stream: disjoint windows copied, the shared
-  // window combined bucket-exactly.
-  WindowedSeries a(kSecond), b(kSecond);
-  a.add(Micros{}, 100.0);
-  a.add(kSecond, 200.0);
-  b.add(kSecond, 400.0);
-  b.add(2 * kSecond, 800.0);
-
-  WindowedSeries expected(kSecond);
-  expected.add(Micros{}, 100.0);
-  expected.add(kSecond, 200.0);
-  expected.add(kSecond, 400.0);
-  expected.add(2 * kSecond, 800.0);
-
-  a.merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  ASSERT_EQ(a.cells().size(), 3u);
-  for (std::uint64_t w = 0; w <= 2; ++w) {
-    ASSERT_NE(a.cell(w), nullptr) << "window " << w;
-    ASSERT_NE(expected.cell(w), nullptr);
-    EXPECT_EQ(a.cell(w)->hist.count(), expected.cell(w)->hist.count());
-    EXPECT_EQ(a.cell(w)->hist.quantile(0.5),
-              expected.cell(w)->hist.quantile(0.5));
-    EXPECT_EQ(a.cell(w)->hist.quantile(0.99),
-              expected.cell(w)->hist.quantile(0.99));
-  }
-}
-
-TEST(WindowedTest, MergeWidthMismatchThrows) {
-  WindowedSeries a(kSecond), b(kSecond / 2);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-  WindowedCounter ca(kSecond), cb(2 * kSecond);
-  EXPECT_THROW(ca.merge(cb), std::invalid_argument);
-}
-
-TEST(WindowedTest, CounterMergeAndAbsentWindows) {
-  WindowedCounter a(kSecond), b(kSecond);
-  a.add(micros(0.0), 3);
-  a.add(2 * kSecond, 1);
-  b.add(2 * kSecond, 4);
-  b.add(3 * kSecond, 2);
-  a.merge(b);
-  EXPECT_EQ(a.at(0), 3u);
-  EXPECT_EQ(a.at(1), 0u);  // never incremented
-  EXPECT_EQ(a.at(2), 5u);
-  EXPECT_EQ(a.at(3), 2u);
-  EXPECT_EQ(a.total(), 10u);
-  EXPECT_EQ(a.last_index(), 3u);
+  // A counter window never incremented reads 0.
+  WindowedCounter c(kSecond);
+  c.add(Micros{}, 3);
+  c.add(2 * kSecond, 4);
+  EXPECT_EQ(c.at(0), 3u);
+  EXPECT_EQ(c.at(1), 0u);
+  EXPECT_EQ(c.at(2), 4u);
+  EXPECT_EQ(c.total(), 7u);
+  EXPECT_EQ(c.last_index(), 2u);
 }
 
 // --- SLO tracking -------------------------------------------------------
