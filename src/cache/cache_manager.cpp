@@ -220,7 +220,7 @@ const ResultEntry* CacheManager::promote_result(ResultEntry entry,
     promoted_scratch_ = ins.evicted.back().entry;
     served = &promoted_scratch_;
   }
-  route_result_evictions(std::move(ins.evicted));
+  route_result_evictions(ins.evicted);
   return served;
 }
 
@@ -383,12 +383,12 @@ Tier CacheManager::fetch_list(TermId term, Micros* time) {
   return served;
 }
 
-void CacheManager::flush_group(std::vector<CachedResult> group) {
+void CacheManager::flush_group(std::span<CachedResult> group) {
   stats_.background_flash_time += ssd_rc_->insert_rb(group);
 }
 
 void CacheManager::route_result_evictions(
-    std::vector<CachedResult> evicted) {
+    std::span<CachedResult> evicted) {
   if (!cfg_.l2) return;  // one-level cache: evictions are simply dropped
   if (breaker_.state() != CircuitBreaker::State::kClosed) {
     // Degraded SSD: don't write into a failing cache; evictions are
@@ -411,19 +411,20 @@ void CacheManager::route_result_evictions(
     // Cancellation: the SSD already holds this entry in replaceable
     // state; revalidate instead of rewriting (Fig. 10 discussion).
     if (ssd_rc_->resurrect(e.entry.query)) continue;
-    if (auto group = wb_.push(std::move(e))) {
-      flush_group(std::move(*group));
+    if (const auto group = wb_.push(std::move(e)); !group.empty()) {
+      flush_group(group);
     }
   }
 }
 
-void CacheManager::route_list_evictions(std::vector<EvictedList> evicted) {
+void CacheManager::route_list_evictions(
+    std::span<const EvictedList> evicted) {
   if (!cfg_.l2) return;
   if (breaker_.state() != CircuitBreaker::State::kClosed) {
     stats_.breaker_bypassed_inserts += evicted.size();
     return;
   }
-  for (auto& e : evicted) {
+  for (const EvictedList& e : evicted) {
     if (!cost_based()) {
       // Baseline: flush exactly what was cached, byte-packed and
       // unaligned (the small-random-write behaviour of Fig. 10a).
@@ -485,8 +486,7 @@ void CacheManager::insert_intersection(TermId a, TermId b) {
 
 void CacheManager::insert_result(ResultEntry entry) {
   if (!cfg_.result_cache) return;
-  auto ins = mem_rc_.insert(std::move(entry), 1, now_);
-  route_result_evictions(std::move(ins.evicted));
+  route_result_evictions(mem_rc_.insert(std::move(entry), 1, now_).evicted);
 }
 
 void CacheManager::preload_static(
@@ -524,7 +524,7 @@ void CacheManager::preload_static(
 void CacheManager::drain() {
   if (!cost_based() || !cfg_.l2) return;
   auto rest = wb_.drain();
-  if (!rest.empty()) flush_group(std::move(rest));
+  if (!rest.empty()) flush_group(rest);
 }
 
 void CacheManager::set_journal_sink(CacheJournalSink* sink) {

@@ -215,9 +215,11 @@ class CacheManager {
   Bytes needed_bytes(const TermMeta& meta) const;
   /// HDD read of a list prefix with skipped-read segmentation (§III).
   [[nodiscard]] Micros read_list_from_hdd(TermId term, Bytes bytes);
-  void route_result_evictions(std::vector<CachedResult> evicted);
-  void route_list_evictions(std::vector<EvictedList> evicted);
-  void flush_group(std::vector<CachedResult> group);
+  /// RM cascades. The spans view the L1 caches' eviction buffers; the
+  /// cascades never insert into L1, so the views stay valid throughout.
+  void route_result_evictions(std::span<CachedResult> evicted);
+  void route_list_evictions(std::span<const EvictedList> evicted);
+  void flush_group(std::span<CachedResult> group);
   /// Promote a result into L1 and return a pointer good for serving the
   /// current query: the L1 copy when admitted (valid until the next L1
   /// insert or erase — the eviction cascade only writes the write buffer

@@ -19,12 +19,12 @@ const CachedList* MemListCache::lookup(TermId term, Bytes needed_bytes) {
   return e;
 }
 
-bool MemListCache::evict_one(std::vector<EvictedList>& out) {
+bool MemListCache::evict_one() {
   if (map_.empty()) return false;
   if (policy_ == CachePolicy::kLru) {
     auto victim = map_.pop_lru();
     used_ -= victim->second.cached_bytes;
-    out.push_back(EvictedList{victim->first, std::move(victim->second)});
+    evicted_.push_back(EvictedList{victim->first, victim->second});
     return true;
   }
   // CBLRU/CBSLRU: minimum EV inside the Replace-First Region (the last
@@ -43,7 +43,7 @@ bool MemListCache::evict_one(std::vector<EvictedList>& out) {
   const TermId term = map_.key_at(best);
   CachedList info = map_.erase_handle(best);
   used_ -= info.cached_bytes;
-  out.push_back(EvictedList{term, std::move(info)});
+  evicted_.push_back(EvictedList{term, info});
   return true;
 }
 
@@ -54,13 +54,14 @@ bool MemListCache::erase(TermId term) {
   return true;
 }
 
-std::vector<EvictedList> MemListCache::insert(TermId term, CachedList info) {
-  std::vector<EvictedList> evicted;
+std::span<const EvictedList> MemListCache::insert(TermId term,
+                                                  CachedList info) {
+  evicted_.clear();
   if (info.cached_bytes > capacity_) {
     // Larger than the whole cache: pass it straight through as an
     // eviction so the SSD level can still consider it.
-    evicted.push_back(EvictedList{term, std::move(info)});
-    return evicted;
+    evicted_.push_back(EvictedList{term, info});
+    return evicted_;
   }
   if (CachedList* existing = map_.touch(term)) {
     used_ -= existing->cached_bytes;
@@ -72,9 +73,9 @@ std::vector<EvictedList> MemListCache::insert(TermId term, CachedList info) {
     map_.insert(term, info);
   }
   while (used_ > capacity_) {
-    if (!evict_one(evicted)) break;
+    if (!evict_one()) break;
   }
-  return evicted;
+  return evicted_;
 }
 
 }  // namespace ssdse

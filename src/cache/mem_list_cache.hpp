@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/cache/policy.hpp"
@@ -41,8 +42,9 @@ class MemListCache {
   /// frequency and EV.
   const CachedList* lookup(TermId term, Bytes needed_bytes);
 
-  /// Insert/refresh an entry; returns evictions (for SSD consideration).
-  std::vector<EvictedList> insert(TermId term, CachedList info);
+  /// Insert/refresh an entry; returns evictions (for SSD
+  /// consideration), valid until the next insert on this cache.
+  std::span<const EvictedList> insert(TermId term, CachedList info);
 
   /// Drop an entry (TTL expiry). Returns true if it was present.
   bool erase(TermId term);
@@ -53,15 +55,16 @@ class MemListCache {
   [[nodiscard]] Bytes capacity() const { return capacity_; }
 
  private:
-  /// Pick and remove one victim according to the policy. Returns false
-  /// if the cache is empty.
-  bool evict_one(std::vector<EvictedList>& out);
+  /// Pick and remove one victim according to the policy into
+  /// evicted_. Returns false if the cache is empty.
+  bool evict_one();
 
   Bytes capacity_;
   CachePolicy policy_;
   std::uint32_t window_;
   Bytes used_ = 0;
   FlatLruMap<TermId, CachedList> map_;
+  std::vector<EvictedList> evicted_;  // the last insert's evictions
 };
 
 }  // namespace ssdse

@@ -20,6 +20,7 @@ const CachedResult* MemResultCache::lookup(QueryId qid) {
 MemInsert MemResultCache::insert(ResultEntry entry, std::uint64_t freq,
                                  std::uint64_t born) {
   MemInsert out;
+  evicted_.clear();
   if (CachedResult* existing = map_.touch(entry.query)) {
     existing->entry = std::move(entry);
     existing->born = std::max(existing->born, born);
@@ -28,16 +29,18 @@ MemInsert MemResultCache::insert(ResultEntry entry, std::uint64_t freq,
   }
   if (max_entries_ == 0) {
     // Degenerate capacity: the entry cannot be admitted at all.
-    out.evicted.push_back(CachedResult{std::move(entry), freq, born});
+    evicted_.push_back(CachedResult{std::move(entry), freq, born});
+    out.evicted = evicted_;
     return out;
   }
   while (map_.size() >= max_entries_) {
     auto victim = map_.pop_lru();
     if (!victim) break;
-    out.evicted.push_back(std::move(victim->second));
+    evicted_.push_back(std::move(victim->second));
   }
   const QueryId qid = entry.query;
   out.handle = &map_.insert(qid, CachedResult{std::move(entry), freq, born});
+  out.evicted = evicted_;
   return out;
 }
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/engine/result.hpp"
@@ -22,12 +23,14 @@ struct CachedResult {
 /// Outcome of MemResultCache::insert. `handle` points at the cached
 /// copy and stays valid until the next insert or erase on this cache
 /// (FlatLruMap lifetime rule), so callers can serve a hit without a
-/// second hash probe. When the cache cannot hold even one entry
-/// (capacity below kResultEntryBytes), the inserted entry itself lands
-/// in `evicted` and `handle` is null.
+/// second hash probe. `evicted` views the cache's eviction buffer,
+/// valid until the next insert; callers may move the entries out. When
+/// the cache cannot hold even one entry (capacity below
+/// kResultEntryBytes), the inserted entry itself lands in `evicted` and
+/// `handle` is null.
 struct MemInsert {
   CachedResult* handle = nullptr;
-  std::vector<CachedResult> evicted;
+  std::span<CachedResult> evicted;
 };
 
 class MemResultCache {
@@ -57,6 +60,7 @@ class MemResultCache {
   Bytes capacity_;
   std::size_t max_entries_;
   FlatLruMap<QueryId, CachedResult> map_;
+  std::vector<CachedResult> evicted_;  // the last insert's evictions
 };
 
 }  // namespace ssdse

@@ -127,7 +127,8 @@ bool SsdListCache::acquire_blocks(std::uint32_t needed,
 
   // Pass 1 (Fig. 13 write "1"): replaceable entries inside the
   // Replace-First Region, LRU end first.
-  std::vector<TermId> picks;
+  std::vector<TermId>& picks = picks_;
+  picks.clear();
   std::uint32_t gathered = 0;
   std::uint32_t scanned = 0;
   for (auto h = map_.lru_handle();
@@ -242,7 +243,8 @@ Micros SsdListCache::insert(TermId term, Bytes bytes, std::uint64_t freq,
   }
   // Rewrite of a cached term: release the old copy first (single hash
   // walk: erase doubles as the existence check).
-  std::vector<std::uint32_t> pool;
+  std::vector<std::uint32_t>& pool = pool_;
+  pool.clear();
   if (auto victim = map_.erase(term)) {
     for (std::uint32_t cb : victim->blocks) pool.push_back(cb);
     ++stats_.evictions;

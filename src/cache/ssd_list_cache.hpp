@@ -130,6 +130,10 @@ class SsdListCache {
   CacheJournalSink* journal_ = nullptr;
   FlatLruMap<TermId, SsdListEntry> map_;
   std::unordered_map<TermId, SsdListEntry> static_map_;
+  // insert()'s scratch, kept so admissions allocate only the entry's
+  // block list: the blocks gathered for it and the victims picked.
+  std::vector<std::uint32_t> pool_;
+  std::vector<TermId> picks_;
   SsdListCacheStats stats_;
 };
 

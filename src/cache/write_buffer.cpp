@@ -9,37 +9,33 @@ namespace ssdse {
 WriteBuffer::WriteBuffer(std::uint32_t group_size)
     : group_size_(std::max(group_size, 1u)) {}
 
-std::optional<std::vector<CachedResult>> WriteBuffer::push(
-    CachedResult entry) {
-  // Re-eviction of an entry already waiting: keep the newer copy. The
-  // membership set answers "already waiting?" without scanning.
-  const QueryId qid = entry.entry.query;
-  if (!members_.insert(qid).second) {
-    auto it = std::find_if(pending_.begin(), pending_.end(),
-                           [qid](const CachedResult& c) {
-                             return c.entry.query == qid;
-                           });
+std::vector<CachedResult>::iterator WriteBuffer::find(QueryId qid) {
+  return std::find_if(pending_.begin(), pending_.end(),
+                      [qid](const CachedResult& c) {
+                        return c.entry.query == qid;
+                      });
+}
+
+std::span<CachedResult> WriteBuffer::push(CachedResult entry) {
+  // Re-eviction of an entry already waiting: keep the newer copy.
+  if (auto it = find(entry.entry.query); it != pending_.end()) {
     it->freq = std::max(it->freq, entry.freq);
     it->entry = std::move(entry.entry);
-    return std::nullopt;
+    return {};
   }
   pending_.push_back(std::move(entry));
   ++stats_.buffered;
-  if (pending_.size() < group_size_) return std::nullopt;
+  if (pending_.size() < group_size_) return {};
   SSDSE_CRASH_POINT("write_buffer.group_ready");
-  std::vector<CachedResult> group;
-  group.swap(pending_);
-  members_.clear();
+  full_.clear();
+  full_.swap(pending_);
   ++stats_.flush_groups;
-  return group;
+  return full_;
 }
 
 std::optional<CachedResult> WriteBuffer::take(QueryId qid) {
-  if (members_.erase(qid) == 0) return std::nullopt;
-  auto it = std::find_if(pending_.begin(), pending_.end(),
-                         [qid](const CachedResult& c) {
-                           return c.entry.query == qid;
-                         });
+  auto it = find(qid);
+  if (it == pending_.end()) return std::nullopt;
   CachedResult out = std::move(*it);
   pending_.erase(it);
   ++stats_.buffer_hits;
@@ -47,11 +43,8 @@ std::optional<CachedResult> WriteBuffer::take(QueryId qid) {
 }
 
 bool WriteBuffer::cancel(QueryId qid) {
-  if (members_.erase(qid) == 0) return false;
-  auto it = std::find_if(pending_.begin(), pending_.end(),
-                         [qid](const CachedResult& c) {
-                           return c.entry.query == qid;
-                         });
+  auto it = find(qid);
+  if (it == pending_.end()) return false;
   pending_.erase(it);
   ++stats_.cancelled;
   return true;
@@ -61,13 +54,15 @@ std::vector<CachedResult> WriteBuffer::drain() {
   SSDSE_CRASH_POINT("write_buffer.drain");
   std::vector<CachedResult> out;
   out.swap(pending_);
-  members_.clear();
   if (!out.empty()) ++stats_.flush_groups;
   return out;
 }
 
 bool WriteBuffer::contains(QueryId qid) const {
-  return members_.count(qid) != 0;
+  return std::any_of(pending_.begin(), pending_.end(),
+                     [qid](const CachedResult& c) {
+                       return c.entry.query == qid;
+                     });
 }
 
 }  // namespace ssdse

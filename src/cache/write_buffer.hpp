@@ -9,7 +9,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "src/cache/mem_result_cache.hpp"
@@ -29,8 +29,9 @@ class WriteBuffer {
   explicit WriteBuffer(std::uint32_t group_size);
 
   /// Buffer an eviction. Returns a full group ready to flush once
-  /// `group_size` entries accumulate, nullopt otherwise.
-  std::optional<std::vector<CachedResult>> push(CachedResult entry);
+  /// `group_size` entries accumulate, empty otherwise. The group stays
+  /// valid until the next push or drain; callers may move entries out.
+  std::span<CachedResult> push(CachedResult entry);
 
   /// Query-path probe; a hit removes the entry (it goes back to L1).
   std::optional<CachedResult> take(QueryId qid);
@@ -46,12 +47,15 @@ class WriteBuffer {
   [[nodiscard]] const WriteBufferStats& stats() const { return stats_; }
 
  private:
+  /// pending_'s entry for `qid`, or end(). The buffer holds less than
+  /// one RB group (6 entries for 128 KiB RBs), so a scan beats any index.
+  std::vector<CachedResult>::iterator find(QueryId qid);
+
   std::uint32_t group_size_;
   std::vector<CachedResult> pending_;
-  // Membership index over pending_: take() probes the buffer on every
-  // L1 result miss, and without this the common not-buffered case costs
-  // a linear scan of up to a whole RB group.
-  std::unordered_set<QueryId> members_;
+  // The group push() last handed out; it and pending_ swap storage, so
+  // assembling groups allocates nothing once both have grown.
+  std::vector<CachedResult> full_;
   WriteBufferStats stats_;
 };
 

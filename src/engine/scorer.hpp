@@ -12,6 +12,8 @@
 //    synthetic (deterministic) top-K docs for cache-identity purposes.
 #pragma once
 
+#include <vector>
+
 #include "src/engine/query.hpp"
 #include "src/engine/result.hpp"
 #include "src/index/inverted_index.hpp"
@@ -31,15 +33,8 @@ struct ScorerConfig {
   Micros cpu_fixed = micros(300.0);
 };
 
-struct TermScoreInfo {
-  TermId term{};
-  std::uint64_t postings_processed = 0;
-  double utilization = 1.0;  // processed / df
-};
-
 struct ScoreOutcome {
   ResultEntry result;
-  std::vector<TermScoreInfo> terms;
   Micros cpu_time = micros(0);
   std::uint64_t total_postings = 0;
 };
@@ -50,6 +45,7 @@ class Scorer {
 
   /// Score a query. For MaterializedIndex, also records measured
   /// utilizations back into the index (via record_utilization).
+  /// Reuses this scorer's accumulator: one Scorer serves one thread.
   ScoreOutcome score(IndexView& index, const Query& query) const;
 
   [[nodiscard]] const ScorerConfig& config() const { return cfg_; }
@@ -59,8 +55,21 @@ class Scorer {
                                   const Query& query) const;
   ScoreOutcome score_analytic(const IndexView& index,
                               const Query& query) const;
+  /// Walk one list in rank order until early termination, adding each
+  /// posting's weight into the accumulator; returns the postings read.
+  /// `next()` yields the list's postings one at a time, nullptr at the
+  /// end.
+  template <class Next>
+  std::uint64_t accumulate(Next next, double idf) const;
 
   ScorerConfig cfg_;
+  // Term-at-a-time accumulator, one slot per doc id, reused across
+  // queries: a slot holds kUntouched until a posting of the current
+  // query reaches it, and `touched_` lists those docs so only they are
+  // read out and reset. Grown when a live index adds doc slots.
+  mutable std::vector<float> acc_;
+  mutable std::vector<DocId> touched_;
+  mutable std::vector<Posting> live_scratch_;  // a dirty term's live postings
 };
 
 }  // namespace ssdse

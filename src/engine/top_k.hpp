@@ -43,6 +43,10 @@ class TopKAccumulator {
     std::push_heap(heap_.begin(), heap_.end(), better);
   }
 
+  /// Size the heap for `n` pushes up front: one allocation, which
+  /// take_sorted() hands over as the result's storage.
+  void reserve(std::size_t n) { heap_.reserve(std::min(n, k_)); }
+
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// The heap holds k documents: from here on a candidate enters only

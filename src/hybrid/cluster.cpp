@@ -4,7 +4,31 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "src/engine/top_k.hpp"
+
 namespace ssdse {
+
+void merge_shard_reply(std::vector<ScoredDoc>& best,
+                       std::span<const ScoredDoc> reply,
+                       std::uint32_t shard, std::uint32_t num_shards,
+                       std::size_t k, std::vector<ScoredDoc>& scratch) {
+  scratch.clear();
+  auto kept = best.begin();
+  auto next = reply.begin();
+  while (scratch.size() < k && (kept != best.end() || next != reply.end())) {
+    if (next != reply.end()) {
+      const ScoredDoc d{DocId{next->doc.raw() * num_shards + shard},
+                        next->score};
+      if (kept == best.end() || TopKAccumulator::better(d, *kept)) {
+        scratch.push_back(d);
+        ++next;
+        continue;
+      }
+    }
+    scratch.push_back(*kept++);
+  }
+  best.swap(scratch);
+}
 
 SearchCluster::SearchCluster(const ClusterConfig& cfg) : cfg_(cfg) {
   if (cfg.num_shards == 0) {
@@ -103,9 +127,12 @@ SearchCluster::ClusterOutcome SearchCluster::execute(const Query& q) {
   ++broker_queries_;
   broker_tracer_.begin_query(q.id);
 
-  std::vector<ScoredDoc> merged;
+  merge_best_.clear();
+  const auto num_groups = static_cast<std::uint32_t>(groups_.size());
   Situation worst_situation = Situation::kS1_ResultMemory;
   Micros wait = micros(0);
+  // The broker_retry span: the reported group's overhead, so the span
+  // and that group's winning trace add up to its response.
   Micros retry_overhead = micros(0);
   Micros slowest_included = micros(0);
   for (std::size_t s = 0; s < groups_.size(); ++s) {
@@ -115,7 +142,6 @@ SearchCluster::ClusterOutcome SearchCluster::execute(const Query& q) {
     out.hedges += r.hedges;
     out.hedge_wins += r.hedge_wins;
     out.failovers += r.failovers;
-    retry_overhead += r.overhead;
     backoff_us_total_ += static_cast<std::uint64_t>(r.backoff_us.value());
     const bool dropped = policy ? !r.ok
                                 : (deadline > Micros{} && r.response > deadline);
@@ -138,19 +164,15 @@ SearchCluster::ClusterOutcome SearchCluster::execute(const Query& q) {
     if (out.shards_included == 1 || r.response > slowest_included) {
       slowest_included = r.response;
       out.trace = r.trace;
+      retry_overhead = r.overhead;
     }
     // The broker reports the situation of the slowest *included* path.
     if (static_cast<int>(r.situation) >
         static_cast<int>(worst_situation)) {
       worst_situation = r.situation;
     }
-    for (const ScoredDoc& d : r.docs) {
-      merged.push_back(ScoredDoc{
-          DocId{d.doc.raw() *
-                    static_cast<std::uint32_t>(groups_.size()) +
-                static_cast<std::uint32_t>(s)},
-          d.score});
-    }
+    merge_shard_reply(merge_best_, r.docs, static_cast<std::uint32_t>(s),
+                      num_groups, kTopK, merge_scratch_);
   }
   shards_dropped_total_ += out.shards_dropped;
   shards_failed_total_ += out.shards_failed;
@@ -163,18 +185,9 @@ SearchCluster::ClusterOutcome SearchCluster::execute(const Query& q) {
   coverage_ppm_sum_ +=
       static_cast<std::uint64_t>(std::llround(out.coverage * 1e6));
 
-  // Broker merge: global top-K across the included shard results.
-  const std::size_t k = std::min<std::size_t>(kTopK, merged.size());
-  std::partial_sort(merged.begin(),
-                    merged.begin() + static_cast<std::ptrdiff_t>(k),
-                    merged.end(),
-                    [](const ScoredDoc& a, const ScoredDoc& b) {
-                      if (a.score != b.score) return a.score > b.score;
-                      return a.doc < b.doc;
-                    });
-  merged.resize(k);
+  // The global top-K across the included shard results, merged above.
   out.result.query = q.id;
-  out.result.docs = std::move(merged);
+  out.result.docs.assign(merge_best_.begin(), merge_best_.end());
 
   // With no deadline (or none late) the broker waits for the slowest
   // shard; with drops it stops waiting at the deadline (policy off) or

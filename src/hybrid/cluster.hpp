@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/hybrid/replica_group.hpp"
@@ -91,6 +92,18 @@ struct ReplicationSnapshot {
   };
   std::vector<Slot> slots;
 };
+
+/// One broker merge step: fold shard `shard`'s reply, best-first as a
+/// shard's result entry always is, into `best`, the running best-first
+/// global top-`k`. Shard-local doc d becomes global doc
+/// d * num_shards + shard, which keeps the reply's order, so a two-way
+/// merge into `scratch` (swapped into `best`) selects what a partial
+/// sort of every included reply would, with no re-sort and, once both
+/// buffers have grown to k, no allocation.
+void merge_shard_reply(std::vector<ScoredDoc>& best,
+                       std::span<const ScoredDoc> reply,
+                       std::uint32_t shard, std::uint32_t num_shards,
+                       std::size_t k, std::vector<ScoredDoc>& scratch);
 
 class SearchCluster {
  public:
@@ -174,6 +187,9 @@ class SearchCluster {
   std::uint64_t failovers_total_ = 0;
   std::uint64_t backoff_us_total_ = 0;
   std::uint64_t coverage_ppm_sum_ = 0;  // per-query coverage, ppm
+  // Broker merge buffers (merge_shard_reply), reused across queries.
+  std::vector<ScoredDoc> merge_best_;
+  std::vector<ScoredDoc> merge_scratch_;
 };
 
 }  // namespace ssdse

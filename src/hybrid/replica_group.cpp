@@ -20,7 +20,10 @@ ReplicaGroup::ReplicaGroup(
     const SystemConfig& partition_cfg, const ReplicationConfig& rep,
     Micros shard_deadline, std::uint64_t policy_seed,
     const std::vector<std::optional<FaultPlan>>& hdd_overrides)
-    : rep_(rep), deadline_(shard_deadline), rng_(policy_seed) {
+    : rep_(rep),
+      deadline_(shard_deadline),
+      index_(std::make_unique<AnalyticIndex>(partition_cfg.corpus)),
+      rng_(policy_seed) {
   if (rep_.replication_factor == 0) {
     throw std::invalid_argument(
         "ReplicaGroup: replication_factor must be positive");
@@ -46,9 +49,10 @@ ReplicaGroup::ReplicaGroup(
         rcfg.recovery.dir += ".r" + std::to_string(r);
       }
     }
-    replicas_.push_back(std::make_unique<SearchSystem>(rcfg));
+    replicas_.push_back(std::make_unique<SearchSystem>(rcfg, *index_));
     states_.emplace_back(rep_.breaker);
   }
+  admitted_.resize(replicas_.size());
 }
 
 ReplicaGroup::FaultCounters ReplicaGroup::fault_counters(
@@ -107,21 +111,23 @@ void ReplicaGroup::pick_order(std::vector<std::size_t>& order) {
   // Open replicas stay in the order as a last resort: with every
   // breaker open the primary still answers — honest accounting happens
   // at the merge, not by refusing to serve.
-  std::vector<char> admitted(order.size());
   for (std::size_t r = 0; r < order.size(); ++r) {
-    admitted[r] = states_[r].breaker.allow() ? 1 : 0;
+    admitted_[r] = states_[r].breaker.allow() ? 1 : 0;
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     if (admitted[a] != admitted[b]) {
-                       return admitted[a] > admitted[b];
-                     }
-                     if (states_[a].warmed != states_[b].warmed) {
-                       return states_[a].warmed;
-                     }
-                     if (!states_[a].warmed) return false;  // keep index order
-                     return states_[a].ewma_us < states_[b].ewma_us;
-                   });
+  const auto ahead = [&](std::size_t a, std::size_t b) {
+    if (admitted_[a] != admitted_[b]) return admitted_[a] > admitted_[b];
+    if (states_[a].warmed != states_[b].warmed) return states_[a].warmed;
+    if (!states_[a].warmed) return false;  // keep index order
+    return states_[a].ewma_us < states_[b].ewma_us;
+  };
+  // Stable insertion sort: a group holds a handful of replicas, so a
+  // stable_sort merge buffer would be an allocation per query for nothing.
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const std::size_t r = order[i];
+    std::size_t j = i;
+    for (; j > 0 && ahead(r, order[j - 1]); --j) order[j] = order[j - 1];
+    order[j] = r;
+  }
 }
 
 GroupReply ReplicaGroup::serve(const Query& q) {
@@ -162,6 +168,10 @@ GroupReply ReplicaGroup::serve(const Query& q) {
 
   Attempt win = run_attempt(order[0], q);
   std::size_t next_slot = 1;
+  // The broker's wait before the winning attempt started: the hedge
+  // delay when the hedge won. win.t includes it, so the retry loop and
+  // the deadline see the broker's view; it is overhead, not service.
+  Micros hedge_wait = micros(0);
 
   // Hedge: once the primary attempt runs past hedge_delay the broker
   // dispatches the next replica in health order and takes the first
@@ -177,6 +187,7 @@ GroupReply ReplicaGroup::serve(const Query& q) {
       ++reply.hedge_wins;
       win = std::move(hedge);
       win.t += rep_.hedge_delay;
+      hedge_wait = rep_.hedge_delay;
     }
   }
 
@@ -197,6 +208,7 @@ GroupReply ReplicaGroup::serve(const Query& q) {
     ++reply.retries;
     win = run_attempt(order[next_slot % order.size()], q);
     ++next_slot;
+    hedge_wait = micros(0);
   }
 
   const bool late = deadline_ > Micros{} && win.t > deadline_;
@@ -207,7 +219,7 @@ GroupReply ReplicaGroup::serve(const Query& q) {
   reply.trace = win.trace;
   reply.response = elapsed + win.t;
   reply.noticed = late ? elapsed + deadline_ : reply.response;
-  reply.overhead = reply.response - win.t;
+  reply.overhead = elapsed + hedge_wait;
   reply.observed_faults = observed_faults_ - faults_before;
   return reply;
 }

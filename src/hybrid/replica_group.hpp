@@ -113,7 +113,10 @@ struct GroupReply {
   std::uint32_t failovers = 0;      // 1 iff the first try was not replica 0
   std::uint64_t observed_faults = 0;  // fault-counter deltas this query
   Micros backoff_us = micros(0);            // jittered pauses charged this query
-  Micros overhead = micros(0);              // response minus final attempt time
+  /// Broker-side time in `response` beyond the final attempt's own
+  /// service: failed attempts, backoff pauses and, when the hedge won,
+  /// the hedge delay.
+  Micros overhead = micros(0);
   /// The winning attempt's trace on its replica (nullptr with tracing
   /// off); that replica's next traced query overwrites it.
   const telemetry::QueryTrace* trace = nullptr;
@@ -199,6 +202,10 @@ class ReplicaGroup {
 
   ReplicationConfig rep_;
   Micros deadline_ = micros(0);
+  // The partition's index, built once and read by every replica (the
+  // analytic index is immutable once built). Declared before replicas_,
+  // so it outlives them.
+  std::unique_ptr<AnalyticIndex> index_;
   std::vector<std::unique_ptr<SearchSystem>> replicas_;
   std::vector<ReplicaState> states_;
   Rng rng_;  // jitter draws only; never advanced unless a retry fires
@@ -208,6 +215,7 @@ class ReplicaGroup {
   std::size_t last_first_ = 0;  // first replica of the previous request
   std::uint64_t observed_faults_ = 0;
   std::vector<std::size_t> order_scratch_;
+  std::vector<char> admitted_;  // pick_order's breaker verdicts
 };
 
 }  // namespace ssdse

@@ -288,11 +288,8 @@ void SearchSystem::register_telemetry() {
                 dynamic_cast<const MaterializedIndex*>(index_) != nullptr
                     ? 1.0
                     : 0.0);
-  if (owned_index_) {
-    r.gauge_value("index.model.build_ms",
-                  static_cast<const AnalyticIndex*>(owned_index_.get())
-                      ->model()
-                      .build_wall_ms());
+  if (const auto* analytic = dynamic_cast<const AnalyticIndex*>(index_)) {
+    r.gauge_value("index.model.build_ms", analytic->model().build_wall_ms());
   }
 
   // Sampling loss across every device's I/O trace collector: records

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <unordered_map>
 
 #include "src/index/codec.hpp"
 #include "src/index/posting.hpp"
@@ -79,19 +78,28 @@ MaterializedCorpus::MaterializedCorpus(const CorpusConfig& cfg, Rng& rng)
     : cfg_(cfg) {
   docs_.resize(cfg.num_docs);
   ZipfSampler term_dist(cfg.vocab_size, cfg.df_zipf);
+  // Per-document tf counts: one dense slot per term, reset through the
+  // list of terms the document touched.
+  std::vector<std::uint32_t> tf(cfg.vocab_size, 0);
+  std::vector<TermId> touched;
   for (auto& doc : docs_) {
     const auto distinct = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(
                cfg.terms_per_doc *
                std::exp(rng.normal(0.0, cfg.doclen_sigma))));
-    std::unordered_map<TermId, std::uint32_t> tf;
     // Sample occurrences; repeats raise tf (roughly geometric tf's).
     const auto occurrences = distinct * 2;
     for (std::uint64_t i = 0; i < occurrences; ++i) {
-      tf[TermId{static_cast<std::uint32_t>(term_dist.sample(rng) - 1)}] += 1;
+      const TermId t{static_cast<std::uint32_t>(term_dist.sample(rng) - 1)};
+      if (tf[t.raw()]++ == 0) touched.push_back(t);
     }
-    doc.assign(tf.begin(), tf.end());
-    std::sort(doc.begin(), doc.end());
+    std::sort(touched.begin(), touched.end());
+    doc.reserve(touched.size());
+    for (const TermId t : touched) {
+      doc.emplace_back(t, tf[t.raw()]);
+      tf[t.raw()] = 0;
+    }
+    touched.clear();
   }
 }
 

@@ -113,6 +113,29 @@ std::span<const Posting> MaterializedIndex::current_postings(
   return scratch;
 }
 
+MergedPostings MaterializedIndex::merged_postings(
+    TermId t, std::vector<Posting>& live_scratch) const {
+  if (!lists_.contains(t)) {
+    throw std::out_of_range("MaterializedIndex: term id out of range");
+  }
+  if (overlay_ == nullptr) {
+    throw std::logic_error("MaterializedIndex: no overlay to merge");
+  }
+  live_scratch.clear();
+  overlay_->collect_live(t, live_scratch);
+  std::sort(live_scratch.begin(), live_scratch.end(), by_rank);
+  return MergedPostings(lists_[t].postings(), live_scratch, *overlay_);
+}
+
+std::uint64_t MaterializedIndex::current_df(TermId t) const {
+  if (!lists_.contains(t)) {
+    throw std::out_of_range("MaterializedIndex: term id out of range");
+  }
+  const std::uint64_t stored = lists_[t].size();
+  if (overlay_ == nullptr) return stored;
+  return stored + overlay_->live_postings(t) - overlay_->deleted_df(t);
+}
+
 void MaterializedIndex::rebuild_lists(
     std::uint64_t new_num_docs,
     std::vector<std::pair<TermId, std::vector<Posting>>> replacements) {

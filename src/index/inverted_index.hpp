@@ -93,6 +93,39 @@ class AnalyticIndex final : public IndexView {
   IdVector<TermId, TermMeta> metas_;
 };
 
+/// A churned term's current postings, merged as they are read: its
+/// stored list with tombstoned docs skipped, and its live postings
+/// ranked by `by_rank`. Both runs are in PostingList order, so the
+/// merge yields exactly what MaterializedIndex::current_postings
+/// materializes, and a reader that stops early pays only for the
+/// prefix it read. Borrows the stored list, the ranked live postings
+/// and the overlay: valid until any of them changes.
+class MergedPostings {
+ public:
+  MergedPostings(std::span<const Posting> stored,
+                 std::span<const Posting> live, const LiveOverlay& overlay)
+      : stored_(stored), live_(live), overlay_(&overlay) {}
+
+  /// The next posting in rank order, or nullptr past the last one.
+  const Posting* next() {
+    while (s_ < stored_.size() && overlay_->is_deleted(stored_[s_].doc)) {
+      ++s_;
+    }
+    if (l_ < live_.size() &&
+        (s_ == stored_.size() || by_rank(live_[l_], stored_[s_]))) {
+      return &live_[l_++];
+    }
+    return s_ < stored_.size() ? &stored_[s_++] : nullptr;
+  }
+
+ private:
+  std::span<const Posting> stored_;
+  std::span<const Posting> live_;
+  const LiveOverlay* overlay_;
+  std::size_t s_ = 0;
+  std::size_t l_ = 0;
+};
+
 class MaterializedIndex final : public IndexView {
  public:
   /// Builds real posting lists; on-disk sizes follow the corpus codec
@@ -137,6 +170,17 @@ class MaterializedIndex final : public IndexView {
   /// The span lives until `scratch` is reused or the index merges.
   std::span<const Posting> current_postings(
       TermId t, std::vector<Posting>& scratch) const;
+
+  /// current_postings(t), merged lazily as the caller reads it (only a
+  /// term the overlay marks dirty needs this). The live postings are
+  /// ranked into `live_scratch`, which must outlive the result.
+  MergedPostings merged_postings(TermId t,
+                                 std::vector<Posting>& live_scratch) const;
+
+  /// Term t's effective df, the length of current_postings(t), from the
+  /// overlay's counters instead of a scan: the stored df plus the live
+  /// postings minus the tombstoned docs holding t.
+  [[nodiscard]] std::uint64_t current_df(TermId t) const;
 
   /// Fold a merge into the materialized state: `replacements` holds the
   /// current postings (as current_postings returns them) of every

@@ -37,10 +37,22 @@ class LiveOverlay {
   /// Tombstone check for any doc id, base or live.
   [[nodiscard]] virtual bool is_deleted(DocId d) const = 0;
 
+  /// Postings of term t appended to the live segment since the last
+  /// merge, tombstoned docs' included.
+  [[nodiscard]] virtual std::uint64_t live_postings(TermId t) const = 0;
+
+  /// Documents holding term t tombstoned since the last merge, base or
+  /// live. Each one removes exactly one posting of t (bags hold a term
+  /// once), so a term's effective df is its stored df plus
+  /// live_postings minus deleted_df.
+  [[nodiscard]] virtual std::uint64_t deleted_df(TermId t) const = 0;
+
   /// Term content changed since the last merge: live postings exist or
   /// base postings were tombstoned. Dirty terms take the dual-source
   /// path; clean terms only need an idf refresh (N may have grown).
-  [[nodiscard]] virtual bool term_dirty(TermId t) const = 0;
+  [[nodiscard]] bool term_dirty(TermId t) const {
+    return live_postings(t) > 0 || deleted_df(t) > 0;
+  }
 
   /// Append term t's non-tombstoned live postings, doc-ascending, to
   /// `out`.

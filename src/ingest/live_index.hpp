@@ -63,8 +63,9 @@ class LiveIndex final : public LiveOverlay {
   LiveIndex(MaterializedIndex& index, const MaterializedCorpus& corpus,
             const IngestConfig& cfg);
 
-  /// Ingest one document (bag sorted by term id, tfs > 0, term ids
-  /// validated by the caller). Returns the assigned doc id.
+  /// Ingest one document (bag sorted by term id, each term once,
+  /// tfs > 0, term ids validated by the caller; SearchSystem's
+  /// normalize_bag guarantees all four). Returns the assigned doc id.
   DocId ingest(DocBag bag);
 
   /// Tombstone a document (base or live). Returns false if the id is
@@ -85,8 +86,11 @@ class LiveIndex final : public LiveOverlay {
   [[nodiscard]] bool is_deleted(DocId d) const override {
     return d.raw() < tombstones_.size() && tombstones_.test(d.raw());
   }
-  [[nodiscard]] bool term_dirty(TermId t) const override {
-    return segment_.count(t) > 0 || deleted_df_[t] > 0;
+  [[nodiscard]] std::uint64_t live_postings(TermId t) const override {
+    return segment_.count(t);
+  }
+  [[nodiscard]] std::uint64_t deleted_df(TermId t) const override {
+    return deleted_df_[t];
   }
   void collect_live(TermId t, std::vector<Posting>& out) const override;
 

@@ -1,14 +1,31 @@
 #include "src/storage/nand.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 
 namespace ssdse {
 
+namespace {
+
+const NandConfig& checked(const NandConfig& cfg) {
+  if (!std::has_single_bit(cfg.pages_per_block)) {
+    throw std::invalid_argument(
+        "NandArray: pages_per_block must be a power of two, got " +
+        std::to_string(cfg.pages_per_block));
+  }
+  return cfg;
+}
+
+}  // namespace
+
 NandArray::NandArray(const NandConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(checked(cfg)),
+      block_shift_(
+          static_cast<unsigned>(std::countr_zero(cfg.pages_per_block))),
+      page_mask_(cfg.pages_per_block - 1),
       fault_(cfg.fault),
       tags_(cfg.total_pages(), kNandFreeTag),
       next_page_(cfg.num_blocks, 0),

@@ -19,6 +19,8 @@ namespace ssdse {
 
 struct NandConfig {
   std::uint32_t page_bytes = 2 * KiB;   // Table III
+  /// A power of two (NandArray rejects anything else): page -> block
+  /// arithmetic is a shift and a mask on every page operation.
   std::uint32_t pages_per_block = 64;   // -> 128 KiB blocks
   std::uint32_t num_blocks = 16 * 1024; // 2 GiB raw by default
   Micros page_read = micros(32.725);            // Table III
@@ -57,6 +59,8 @@ struct NandStats {
 
 class NandArray {
  public:
+  /// Throws std::invalid_argument unless cfg.pages_per_block is a
+  /// power of two.
   explicit NandArray(const NandConfig& cfg = {});
 
   [[nodiscard]] const NandConfig& config() const { return cfg_; }
@@ -134,11 +138,9 @@ class NandArray {
   [[nodiscard]] std::uint32_t max_erase_count() const;
   [[nodiscard]] double mean_erase_count() const;
 
-  Pbn block_of(Ppn ppn) const {
-    return static_cast<Pbn>(ppn / cfg_.pages_per_block);
-  }
+  Pbn block_of(Ppn ppn) const { return static_cast<Pbn>(ppn >> block_shift_); }
   std::uint32_t page_in_block(Ppn ppn) const {
-    return static_cast<std::uint32_t>(ppn % cfg_.pages_per_block);
+    return static_cast<std::uint32_t>(ppn & page_mask_);
   }
 
  private:
@@ -146,6 +148,8 @@ class NandArray {
   [[noreturn]] void throw_program_violation(Ppn ppn) const;
 
   NandConfig cfg_;
+  unsigned block_shift_;  // log2(pages_per_block)
+  Ppn page_mask_;         // pages_per_block - 1
   NandStats stats_;
   NandFaultModel fault_{};
   std::vector<std::uint64_t> tags_;         // per page; kNandFreeTag = erased

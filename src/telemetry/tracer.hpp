@@ -34,8 +34,9 @@ enum class TraceStage : std::uint8_t {
   kIngestApply,        // live-index ingest/delete apply (segment + log)
   kSegmentMerge,       // live-segment fold into the materialized index
   kDaatSkip,           // scoring time saved by block-max prune jumps
-  kBrokerRetry,        // broker tail tolerance: failed-attempt waits,
-                       // backoff pauses, hedge overhead (DESIGN.md §15)
+  kBrokerRetry,        // broker tail tolerance on the reported shard:
+                       // failed-attempt waits, backoff pauses, a
+                       // winning hedge's delay (DESIGN.md §15)
 };
 
 inline constexpr std::size_t kNumTraceStages = 12;

@@ -42,12 +42,17 @@ TEST_F(MaterializedScorerTest, TopKBoundedAndSorted) {
 
 TEST_F(MaterializedScorerTest, EarlyTerminationPartialProcessing) {
   // Term 0 is the most frequent: its long list must not be fully walked.
+  // The walked fraction is the utilization recorded back into the index
+  // (the first sample replaces the 1.0 prior).
   Query q{QueryId{2}, {TermId{0}}};
   const ScoreOutcome out = scorer_.score(index_, q);
-  ASSERT_EQ(out.terms.size(), 1u);
-  EXPECT_GT(out.terms[0].postings_processed, 0u);
-  EXPECT_LE(out.terms[0].utilization, 1.0);
-  EXPECT_LE(out.terms[0].postings_processed, index_.term_meta(TermId{0}).df);
+  const std::uint64_t df = index_.term_meta(TermId{0}).df;
+  EXPECT_GT(out.total_postings, 0u);
+  EXPECT_LT(out.total_postings, df);
+  EXPECT_EQ(index_.term_meta(TermId{0}).utilization,
+            static_cast<double>(static_cast<float>(
+                static_cast<double>(out.total_postings) /
+                static_cast<double>(df))));
 }
 
 TEST_F(MaterializedScorerTest, UtilizationRecordedBackIntoIndex) {
@@ -110,12 +115,15 @@ TEST(AnalyticScorerTest, PostingsProcessedFollowUtilization) {
   cfg.vocab_size = 5'000;
   AnalyticIndex index(cfg);
   Scorer scorer;
-  const auto out = scorer.score(index, Query{QueryId{1}, {TermId{10}}});
-  const TermMeta meta = index.term_meta(TermId{10});
-  ASSERT_EQ(out.terms.size(), 1u);
-  EXPECT_EQ(out.terms[0].postings_processed,
-            static_cast<std::uint64_t>(
-                std::ceil(meta.utilization * static_cast<double>(meta.df))));
+  const auto out =
+      scorer.score(index, Query{QueryId{1}, {TermId{10}, TermId{20}}});
+  std::uint64_t expected = 0;
+  for (const TermId t : {TermId{10}, TermId{20}}) {
+    const TermMeta meta = index.term_meta(t);
+    expected += static_cast<std::uint64_t>(
+        std::ceil(meta.utilization * static_cast<double>(meta.df)));
+  }
+  EXPECT_EQ(out.total_postings, expected);
 }
 
 TEST(AnalyticScorerTest, DifferentQueriesDifferentResults) {

@@ -186,6 +186,40 @@ TEST(MaterializedTest, CorpusDocsHaveSortedUniqueTerms) {
   }
 }
 
+// The perf corpus (perfbench's materialized workloads: 40k docs, 2000
+// terms, 60 per doc, default seed), bag for bag: generation must draw
+// the same RNG values and build the same term-sorted bags. The digest
+// folds every bag's length and (term, tf) pairs plus the generator's
+// next value, as recorded with the map-per-document generator.
+TEST(MaterializedTest, PerfCorpusBagsArePinned) {
+  CorpusConfig cfg;
+  cfg.num_docs = 40'000;
+  cfg.vocab_size = 2'000;
+  cfg.terms_per_doc = 60;
+  Rng rng(cfg.seed);
+  const MaterializedCorpus corpus(cfg, rng);
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  std::uint64_t postings = 0;
+  for (DocId d{}; d.raw() < corpus.num_docs(); ++d) {
+    const auto& bag = corpus.doc(d);
+    mix(bag.size());
+    for (const auto& [t, tf] : bag) {
+      mix(t.raw());
+      mix(tf);
+    }
+    postings += bag.size();
+  }
+  mix(rng.next_u64());
+  EXPECT_EQ(postings, 3'095'962u);
+  EXPECT_EQ(h, 13424410937097934737ull);
+}
+
 TEST(MaterializedTest, IndexConsistentWithCorpus) {
   Rng rng(32);
   MaterializedCorpus corpus(tiny_corpus(), rng);

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "src/engine/daat.hpp"
+#include "src/engine/scorer.hpp"
 #include "src/hybrid/run_report.hpp"
 #include "src/hybrid/search_system.hpp"
 #include "src/ingest/live_index.hpp"
@@ -129,6 +130,33 @@ void expect_postings_equal(const MaterializedIndex& live_index,
     const std::span<const Posting> want = oracle.index.postings(t)->postings();
     ASSERT_TRUE(std::ranges::equal(got, want)) << ctx << " term " << t.raw();
   }
+}
+
+/// The scorer's view of a churned index: for every dirty term, the lazy
+/// merge yields the eager merge element for element (so every prefix
+/// the scorer may stop at agrees), and for every term the df taken from
+/// the overlay's counters equals the length of a full scan.
+void expect_lazy_view_equal(const MaterializedIndex& index,
+                            const char* ctx) {
+  const LiveOverlay* overlay = index.overlay();
+  ASSERT_NE(overlay, nullptr);
+  std::vector<Posting> eager_scratch, live_scratch;
+  std::size_t dirty = 0;
+  for (TermId t{}; t < TermId{index.vocab_size()}; ++t) {
+    const std::span<const Posting> eager =
+        index.current_postings(t, eager_scratch);
+    ASSERT_EQ(index.current_df(t), eager.size()) << ctx << " term " << t.raw();
+    if (!overlay->term_dirty(t)) continue;
+    ++dirty;
+    MergedPostings lazy = index.merged_postings(t, live_scratch);
+    std::size_t i = 0;
+    for (const Posting* p = lazy.next(); p != nullptr; p = lazy.next(), ++i) {
+      ASSERT_LT(i, eager.size()) << ctx << " term " << t.raw();
+      ASSERT_EQ(*p, eager[i]) << ctx << " term " << t.raw() << " rank " << i;
+    }
+    EXPECT_EQ(i, eager.size()) << ctx << " term " << t.raw();
+  }
+  EXPECT_GT(dirty, 0u) << ctx;
 }
 
 // --- LiveSegment --------------------------------------------------------
@@ -277,6 +305,7 @@ TEST(LiveIndexOracleTest, ChurnMatchesRebuildFromScratch) {
     const Oracle mid(cc, mirror);
     ASSERT_EQ(index.num_docs(), mid.index.num_docs());
     expect_postings_equal(index, mid, "mid-segment");
+    expect_lazy_view_equal(index, "mid-segment");
     expect_oracle_equivalent(DaatIndex(index), mid, queries, "mid-segment");
 
     // Merge is content-neutral: same results, now from the merged lists
@@ -323,12 +352,69 @@ TEST(LiveIndexOracleTest, RepeatedMergeCyclesStayExact) {
     if (live.erase(victim, nullptr)) mirror.erase(victim);
     const Oracle oracle(cc, mirror);
     expect_postings_equal(index, oracle, "mid-segment");
+    expect_lazy_view_equal(index, "mid-segment");
     (void)live.merge();
     expect_postings_equal(index, oracle, "post-merge");
     const std::vector<Query> queries =
         random_queries(query_rng, cc.vocab_size, 60);
     expect_oracle_equivalent(DaatIndex(index), oracle, queries, "cycle");
   }
+  index.attach_overlay(nullptr);
+}
+
+TEST(LiveIndexOracleTest, ScorerFollowsAGrowingIndex) {
+  // One Scorer across the whole episode: its accumulator is sized by
+  // the first query, then the live index adds more doc slots than that
+  // (new docs that rank first for the queried terms) and deletes some.
+  // Every result still equals a fresh scorer's over a rebuilt index.
+  const CorpusConfig cc = small_corpus();
+  Rng rng(cc.seed);
+  MaterializedCorpus corpus(cc, rng);
+  MaterializedIndex index(corpus);
+  ingest::LiveIndex live(index, corpus, IngestConfig{});
+  index.attach_overlay(&live);
+  DocMirror mirror(corpus);
+  const Scorer scorer;
+
+  Rng churn_rng(61), query_rng(62);
+  const std::vector<Query> queries =
+      random_queries(query_rng, cc.vocab_size, 80);
+  const auto check = [&](const char* ctx) {
+    Oracle oracle(cc, mirror);
+    const Scorer fresh;
+    for (const Query& q : queries) {
+      const ScoreOutcome got = scorer.score(index, q);
+      const ScoreOutcome want = fresh.score(oracle.index, q);
+      expect_docs_eq(got.result, want.result, ctx, q.id);
+      EXPECT_EQ(got.total_postings, want.total_postings)
+          << ctx << " query " << q.id.raw();
+    }
+  };
+  check("base");
+  for (int i = 0; i < 2 * static_cast<int>(cc.num_docs); ++i) {
+    ingest::DocBag bag = make_bag(churn_rng, cc.vocab_size, 4);
+    for (auto& [t, tf] : bag) tf += 40;  // outranks every base posting
+    bag.emplace_back(queries[static_cast<std::size_t>(i) % queries.size()]
+                         .terms.front(),
+                     50);
+    std::sort(bag.begin(), bag.end());
+    bag.erase(std::unique(bag.begin(), bag.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.first == b.first;
+                          }),
+              bag.end());
+    (void)live.ingest(bag);
+    mirror.ingest(bag);
+    if (i % 7 == 3) {
+      const auto victim =
+          static_cast<DocId>(churn_rng.next_below(index.num_docs()));
+      if (live.erase(victim, nullptr)) mirror.erase(victim);
+    }
+  }
+  ASSERT_GT(index.num_docs(), 2 * cc.num_docs);
+  check("grown");
+  (void)live.merge();
+  check("merged");
   index.attach_overlay(nullptr);
 }
 

@@ -239,6 +239,43 @@ TEST(ReplicaTest, HedgeTakesFirstCompletionAndCutsLatency) {
             unhedged.metrics().mean_response());
 }
 
+// A winning hedge's delay is broker overhead: it lands in the broker's
+// broker_retry span, and the winning replica's own trace covers only
+// the hedge's service. The response is the delay plus that service.
+TEST(ReplicaTest, HedgeWinChargesTheDelayToBrokerRetry) {
+  ClusterConfig cfg = small_cluster(1);
+  cfg.replication.replication_factor = 2;
+  cfg.replication.hedge_delay = ms(25);
+  ReplicaFaultOverride slow;
+  slow.shard = 0;
+  slow.replica = 0;
+  slow.hdd.latency_spike_rate = 0.3;
+  slow.hdd.spike_latency = ms(50);
+  cfg.replica_faults.push_back(slow);
+  SearchCluster cluster(cfg);
+
+  const auto retry = telemetry::TraceStage::kBrokerRetry;
+  std::uint32_t wins = 0;
+  for (int i = 0; i < 400; ++i) {
+    const auto out = cluster.execute(cluster.generator().next());
+    const telemetry::QueryTrace* broker = cluster.broker_tracer().last();
+    ASSERT_NE(broker, nullptr);
+    const auto span = broker->stage_us[static_cast<std::size_t>(retry)];
+    if (out.hedge_wins == 0) {
+      // No retries configured: nothing else is broker overhead.
+      EXPECT_FALSE(broker->touched_stage(retry)) << "query " << i;
+      continue;
+    }
+    ++wins;
+    ASSERT_TRUE(broker->touched_stage(retry)) << "query " << i;
+    EXPECT_EQ(span, cfg.replication.hedge_delay) << "query " << i;
+    ASSERT_NE(out.trace, nullptr);
+    EXPECT_EQ(out.slowest_shard, cfg.replication.hedge_delay + out.trace->total)
+        << "query " << i;
+  }
+  EXPECT_GT(wins, 0u);
+}
+
 // --- Health-driven failover -------------------------------------------
 
 // A fault-heavy primary trips its circuit breaker; the broker routes

@@ -84,6 +84,22 @@ NandConfig tiny_nand() {
   return cfg;
 }
 
+TEST(NandTest, PagesPerBlockMustBeAPowerOfTwo) {
+  for (const std::uint32_t ppb : {0u, 3u, 48u}) {
+    NandConfig cfg = tiny_nand();
+    cfg.pages_per_block = ppb;
+    EXPECT_THROW(NandArray{cfg}, std::invalid_argument) << ppb;
+  }
+  for (const std::uint32_t ppb : {1u, 2u, 64u}) {
+    NandConfig cfg = tiny_nand();
+    cfg.pages_per_block = ppb;
+    const NandArray nand(cfg);
+    const Ppn last = cfg.total_pages() - 1;
+    EXPECT_EQ(nand.block_of(last), cfg.num_blocks - 1) << ppb;
+    EXPECT_EQ(nand.page_in_block(last), ppb - 1) << ppb;
+  }
+}
+
 TEST(NandTest, ProgramReadRoundTrip) {
   NandArray nand(tiny_nand());
   (void)nand.program_page(0, 0xDEADBEEF);

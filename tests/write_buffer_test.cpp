@@ -14,11 +14,10 @@ CachedResult cached(QueryId qid, std::uint64_t freq = 1) {
 
 TEST(WriteBufferTest, GroupsAtConfiguredSize) {
   WriteBuffer wb(3);
-  EXPECT_FALSE(wb.push(cached(QueryId{1})).has_value());
-  EXPECT_FALSE(wb.push(cached(QueryId{2})).has_value());
+  EXPECT_TRUE(wb.push(cached(QueryId{1})).empty());
+  EXPECT_TRUE(wb.push(cached(QueryId{2})).empty());
   auto group = wb.push(cached(QueryId{3}));
-  ASSERT_TRUE(group.has_value());
-  EXPECT_EQ(group->size(), 3u);
+  EXPECT_EQ(group.size(), 3u);
   EXPECT_EQ(wb.size(), 0u);
   EXPECT_EQ(wb.stats().flush_groups, 1u);
 }
@@ -55,7 +54,7 @@ TEST(WriteBufferTest, CancelDropsWithoutFlush) {
   EXPECT_EQ(wb.size(), 0u);
   EXPECT_EQ(wb.stats().cancelled, 1u);
   // The next push does not form a group (buffer was emptied).
-  EXPECT_FALSE(wb.push(cached(QueryId{2})).has_value());
+  EXPECT_TRUE(wb.push(cached(QueryId{2})).empty());
 }
 
 TEST(WriteBufferTest, DrainReturnsShortGroup) {
@@ -71,8 +70,7 @@ TEST(WriteBufferTest, DrainReturnsShortGroup) {
 TEST(WriteBufferTest, GroupSizeOneFlushesImmediately) {
   WriteBuffer wb(1);
   auto group = wb.push(cached(QueryId{9}));
-  ASSERT_TRUE(group.has_value());
-  EXPECT_EQ(group->size(), 1u);
+  EXPECT_EQ(group.size(), 1u);
 }
 
 TEST(WriteBufferTest, StatsCountBuffered) {
@@ -90,11 +88,10 @@ TEST(WriteBufferTest, DrainPartialRbResetsGrouping) {
   // The group counter starts over: the next full group needs 6 fresh
   // entries, not 2.
   for (QueryId q = QueryId{10}; q < QueryId{15}; ++q) {
-    EXPECT_FALSE(wb.push(cached(q)).has_value());
+    EXPECT_TRUE(wb.push(cached(q)).empty());
   }
   auto group = wb.push(cached(QueryId{15}));
-  ASSERT_TRUE(group.has_value());
-  EXPECT_EQ(group->size(), 6u);
+  EXPECT_EQ(group.size(), 6u);
 }
 
 TEST(WriteBufferTest, DrainTwiceSecondIsEmptyAndUncounted) {
