@@ -63,17 +63,15 @@ inline double ms_since(Clock::time_point t0) {
 /// The DAAT workload: a 40k-doc materialized corpus (seed 2012), its
 /// DaatIndex, and a fixed batch from the query log (seed 17).
 /// perf_driver's daat phase pins its fingerprint at 20k queries;
-/// codec_pruning and ablation_codec time the block-max processor on the
-/// same queries.
+/// codec_compression sizes the same corpus's lists under the block
+/// codecs.
 struct DaatWorkload {
-  explicit DaatWorkload(std::uint64_t queries,
-                        const std::string& codec = "raw") {
+  explicit DaatWorkload(std::uint64_t queries) {
     CorpusConfig cc;
     cc.num_docs = 40'000;
     cc.vocab_size = 2'000;
     cc.terms_per_doc = 60;
     cc.seed = 2012;
-    cc.codec = codec;
     Rng rng(99);
     corpus = std::make_unique<MaterializedCorpus>(cc, rng);
     index = std::make_unique<MaterializedIndex>(*corpus);

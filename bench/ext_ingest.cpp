@@ -17,10 +17,6 @@
 // oracle system over the rebuilt document set, both mid-segment and
 // after a forced merge. Gate 2: results bit-identical at both points
 // (cache coherence + overlay scoring are exact, not approximate).
-// Gate 3: block-max DAAT over the same churned index — where ingests
-// and deletes have invalidated the stored per-block maxima — must stay
-// bit-identical to the exhaustive processor, mid-segment and
-// post-merge (dirty terms bypass stale block-max; DESIGN.md §13).
 //
 // SSDSE_QUERIES scales the run; the bench artifact goes to
 // SSDSE_BENCH_OUT (default BENCH_ext_ingest.json, validated by
@@ -33,7 +29,6 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "src/engine/daat.hpp"
 #include "src/ingest/live_index.hpp"
 
 using namespace ssdse;
@@ -229,39 +224,6 @@ bool oracle_probe(ChurnedState& churned, const MaterializedIndex& oracle,
   return true;
 }
 
-/// Gate 3: pruned vs exhaustive DAAT directly over the churned index
-/// (pure reads — the system's caches and RNG stream are untouched).
-/// Churn has gone stale on every touched term's stored block maxima;
-/// the pruned path must bypass them and match bit-for-bit. The DaatIndex
-/// is built here, from the index as it stands, so the post-merge probe
-/// reads the merged lists.
-bool pruned_probe(const ChurnedState& churned, std::uint64_t probes,
-                  const char* ctx) {
-  const DaatIndex daat(*churned.index);
-  DaatProcessor oracle(kTopK);
-  MaxScoreDaatProcessor pruned(kTopK);
-  for (std::uint64_t r = 0; r < probes; ++r) {
-    const Query q = churned.sys->generator().query_for_rank(r);
-    const ResultEntry want = oracle.intersect(daat, q);
-    const ResultEntry got = pruned.intersect(daat, q);
-    if (got.docs.size() != want.docs.size()) {
-      std::fprintf(stderr, "%s: probe %llu size mismatch\n", ctx,
-                   static_cast<unsigned long long>(r));
-      return false;
-    }
-    for (std::size_t i = 0; i < got.docs.size(); ++i) {
-      if (got.docs[i].doc != want.docs[i].doc ||
-          std::bit_cast<std::uint32_t>(got.docs[i].score) !=
-              std::bit_cast<std::uint32_t>(want.docs[i].score)) {
-        std::fprintf(stderr, "%s: probe %llu rank %zu diverges\n", ctx,
-                     static_cast<unsigned long long>(r), i);
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main() {
@@ -292,13 +254,9 @@ int main() {
   MaterializedIndex oracle_index(oracle_corpus);
   const bool pre_ok =
       oracle_probe(heavy, oracle_index, probes, "pre-merge");
-  const bool pruned_pre_ok =
-      pruned_probe(heavy, probes, "pruned pre-merge");
   heavy.sys->merge_now();
   const bool post_ok =
       oracle_probe(heavy, oracle_index, probes, "post-merge");
-  const bool pruned_post_ok =
-      pruned_probe(heavy, probes, "pruned post-merge");
   maybe_write_report(heavy.sys->telemetry_registry().snapshot(),
                      "ext_ingest");
 
@@ -316,20 +274,15 @@ int main() {
   t.print();
   std::printf(
       "\nzero-churn fingerprint: %s; oracle equivalence: pre-merge %s, "
-      "post-merge %s; block-max vs exhaustive: pre-merge %s, "
       "post-merge %s\n",
       idle_ok ? "identical" : "DIVERGED", pre_ok ? "exact" : "DIVERGED",
-      post_ok ? "exact" : "DIVERGED",
-      pruned_pre_ok ? "exact" : "DIVERGED",
-      pruned_post_ok ? "exact" : "DIVERGED");
+      post_ok ? "exact" : "DIVERGED");
 
   return finish_bench(
       "ext_ingest",
       {{"idle_matches_disabled", idle_ok},
        {"oracle_pre_merge", pre_ok},
-       {"oracle_post_merge", post_ok},
-       {"pruned_pre_merge", pruned_pre_ok},
-       {"pruned_post_merge", pruned_post_ok}},
+       {"oracle_post_merge", post_ok}},
       [&](telemetry::JsonWriter& w) {
         w.key("queries");
         w.value(queries);

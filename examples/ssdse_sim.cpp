@@ -77,6 +77,9 @@ void report_system(SearchSystem& system) {
                 static_cast<unsigned long long>(rs->result_entries_recovered),
                 static_cast<unsigned long long>(rs->list_entries_recovered),
                 rs->recovery_wall_ms);
+    if (rs->images_rejected > 0) {
+      std::printf("; snapshot rejected: it does not fit the cache");
+    }
     if (rs->journal_torn_bytes > 0) {
       std::printf("; journal torn tail of %llu bytes truncated",
                   static_cast<unsigned long long>(rs->journal_torn_bytes));

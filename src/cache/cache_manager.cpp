@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace ssdse {
 
@@ -542,8 +543,40 @@ CacheImage CacheManager::export_image() const {
   return image;
 }
 
-Micros CacheManager::restore_image(const CacheImage& image) {
+bool CacheManager::image_fits(const CacheImage& image) const {
+  const auto claim = [](std::vector<bool>& used, std::uint32_t id) {
+    if (id >= used.size() || used[id]) return false;
+    used[id] = true;
+    return true;
+  };
+  std::vector<bool> rb_blocks(result_file_->num_blocks());
+  for (const auto* section : {&image.rbs, &image.static_rbs}) {
+    for (const RbImage& rb : *section) {
+      if (!claim(rb_blocks, rb.cb) ||
+          rb.slots.size() > ssd_rc_->results_per_rb()) {
+        return false;
+      }
+      for (const RbSlotImage& slot : rb.slots) {
+        if (slot.state > 2) return false;
+      }
+    }
+  }
+  std::vector<bool> list_blocks(list_file_->num_blocks());
+  std::vector<bool> terms(index_.vocab_size());
+  for (const auto* section : {&image.lists, &image.static_lists}) {
+    for (const ListEntryImage& e : *section) {
+      if (e.blocks.empty() || !claim(terms, e.term.raw())) return false;
+      for (const std::uint32_t cb : e.blocks) {
+        if (!claim(list_blocks, cb)) return false;
+      }
+    }
+  }
+  return true;
+}
+
+std::optional<Micros> CacheManager::restore_image(const CacheImage& image) {
   if (!supports_persistence()) return Micros{};
+  if (!image_fits(image)) return std::nullopt;
   now_ = image.logical_now;
   Micros t = micros(0);
   t += ssd_rc_->restore_image(image.rbs, image.static_rbs);

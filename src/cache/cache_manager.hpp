@@ -155,8 +155,10 @@ class CacheManager {
   [[nodiscard]] CacheImage export_image() const;
   /// Warm restart: rebuild both SSD caches and the cache-file block
   /// states from a recovered image. Must be called before any traffic.
-  /// Returns the adoption flash time (recovery work, not query time).
-  [[nodiscard]] Micros restore_image(const CacheImage& image);
+  /// Returns the adoption flash time (recovery work, not query time),
+  /// or nullopt, having changed nothing, when the image does not fit
+  /// this cache's geometry (see image_fits).
+  [[nodiscard]] std::optional<Micros> restore_image(const CacheImage& image);
 
   /// Advance the logical clock (one tick per query). Only needed when
   /// cfg.ttl_queries > 0 (the dynamic scenario of paper §IV.B).
@@ -209,6 +211,13 @@ class CacheManager {
     }
     return false;
   }
+  /// Whether a recovered image fits the cache geometry: every block id
+  /// in range of its cache file and claimed once across the sections
+  /// sharing that file (RBs: result file; lists: list file), no RB
+  /// with more than results_per_rb() slots, slot states 0-2, no list
+  /// without blocks, list terms unique and inside the vocabulary.
+  /// Adoption cannot be rolled back, so restore_image checks first.
+  [[nodiscard]] bool image_fits(const CacheImage& image) const;
   /// Drop every cached copy of `qid` without counting a TTL expiry.
   void drop_result_copies(QueryId qid);
   /// Expected bytes a query needs from a term's list (PU x SI).

@@ -49,13 +49,6 @@ class TopKAccumulator {
 
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  /// The heap holds k documents: from here on a candidate enters only
-  /// by ranking ahead of worst() — the block-max scorer's prune gate.
-  [[nodiscard]] bool full() const { return k_ > 0 && heap_.size() >= k_; }
-
-  /// Worst retained document (heap root); meaningful only when full().
-  [[nodiscard]] const ScoredDoc& worst() const { return heap_.front(); }
-
   /// Extract the retained documents best-first. Empties the
   /// accumulator; the returned vector owns its storage.
   std::vector<ScoredDoc> take_sorted() {

@@ -126,12 +126,17 @@ void SearchSystem::build(IndexView* external_index) {
     persistence_ = std::make_unique<recovery::PersistenceManager>(
         cfg_.recovery.dir, recovery::cache_config_fingerprint(cc));
     if (auto image = persistence_->recover()) {
-      const Micros restore_time = cm_->restore_image(*image);
-      persistence_->note_restore_flash_time(restore_time);
-      // Block adoption re-seeds the fresh FTL; that is recovery work
-      // (data already resident), not run traffic.
-      cache_ssd_->reset_stats();
-      warm_started_ = true;
+      if (const auto restore_time = cm_->restore_image(*image)) {
+        persistence_->note_restore_flash_time(*restore_time);
+        // Block adoption re-seeds the fresh FTL; that is recovery work
+        // (data already resident), not run traffic.
+        cache_ssd_->reset_stats();
+        warm_started_ = true;
+      } else {
+        // Every frame checked out, but the content does not fit this
+        // cache: start cold rather than adopt a corrupt image.
+        persistence_->note_image_rejected();
+      }
     }
   }
 

@@ -1,7 +1,6 @@
 #include "src/index/block_postings.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace ssdse {
@@ -237,58 +236,5 @@ std::size_t decode_block(CodecKind kind, std::span<const std::uint8_t> bytes,
 }
 
 }  // namespace blockfmt
-
-// --- BlockPostingView ----------------------------------------------------
-
-std::uint32_t BlockPostingView::decode_block(std::uint32_t b,
-                                             Posting* out) const {
-  const std::uint32_t count = block_size(b);
-  blockfmt::decode_block(kind_, {bytes_, byte_len_}, metas_[b].byte_off,
-                         count, out);
-  return count;
-}
-
-// --- BlockPostingStore ---------------------------------------------------
-
-BlockPostingStore::BlockPostingStore(CodecKind kind) : kind_(kind) {
-  if (kind != CodecKind::kBlockPacked && kind != CodecKind::kStreamVByte) {
-    throw std::invalid_argument("BlockPostingStore: not a block codec");
-  }
-}
-
-void BlockPostingStore::reserve(std::size_t num_terms,
-                                std::size_t total_postings) {
-  // ~2 B/posting encoded is pessimistic for ascending ids; one growth
-  // step at most for adversarial corpora.
-  bytes_.reserve(total_postings * 2);
-  metas_.reserve(total_postings / kBlockPostings + num_terms);
-  byte_off_.reserve(num_terms + 1);
-  meta_off_.reserve(num_terms + 1);
-  counts_.reserve(num_terms);
-  idf_.reserve(num_terms);
-}
-
-void BlockPostingStore::add_list(std::span<const Posting> doc_sorted,
-                                 double idf) {
-  const std::uint64_t slice_base = byte_off_.back();
-  for (std::size_t i = 0; i < doc_sorted.size(); i += kBlockPostings) {
-    const std::size_t m =
-        std::min<std::size_t>(kBlockPostings, doc_sorted.size() - i);
-    const auto block = doc_sorted.subspan(i, m);
-    double max_weight = 0.0;
-    for (const Posting& p : block) {
-      max_weight = std::max(max_weight, std::log(1.0 + p.tf));
-    }
-    metas_.push_back(PostingBlockMeta{
-        block[m - 1].doc,
-        static_cast<std::uint32_t>(bytes_.size() - slice_base), max_weight});
-    blockfmt::encode_block(kind_, block, bytes_);
-  }
-  byte_off_.push_back(bytes_.size());
-  meta_off_.push_back(metas_.size());
-  counts_.push_back(static_cast<std::uint32_t>(doc_sorted.size()));
-  idf_.push_back(idf);
-  total_postings_ += doc_sorted.size();
-}
 
 }  // namespace ssdse

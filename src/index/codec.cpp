@@ -255,11 +255,10 @@ double GroupVarintCodec::bytes_per_posting(std::uint64_t df,
 // --- Block codecs ----------------------------------------------------------
 //
 // Whole-list framing shared by both block codecs: varint posting count,
-// then independent 128-posting blocks in the blockfmt layout. The index
-// stores blocks through BlockPostingStore (which adds skip + max-score
-// metadata on the side); these PostingCodec wrappers expose the same
-// bytes through the generic encode/decode interface for size accounting
-// and the round-trip suites.
+// then independent 128-posting blocks in the blockfmt layout. The cache
+// layer charges a list its blocks alone (block_slice_bytes); these
+// PostingCodec wrappers expose the framed bytes through the generic
+// encode/decode interface for the round-trip suites.
 
 namespace {
 

@@ -152,8 +152,8 @@ class StreamVByteCodec final : public PostingCodec {
                            std::uint64_t num_docs) const override;
 };
 
-/// Bytes `postings` take as one term's BlockPostingStore slice under a
-/// block codec: the blocks without the whole-list count header.
+/// Bytes `postings` take as one term's blocks under a block codec: the
+/// blocks without the whole-list count header.
 Bytes block_slice_bytes(CodecKind kind, std::span<const Posting> postings);
 
 /// Factory by name ("raw", "varint", "group-varint", "block-packed",

@@ -147,8 +147,6 @@ class MaterializedIndex final : public IndexView {
   [[nodiscard]] const IndexLayout& layout() const override { return layout_; }
   const PostingList* postings(TermId t) const override { return &lists_[t]; }
 
-  /// Corpus codec name: it sizes every list (TermMeta::list_bytes).
-  [[nodiscard]] const std::string& codec_name() const { return codec_name_; }
   /// Merges folded in so far (rebuild_lists calls). Views built from
   /// the stored lists compare it to know they are still current.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }

@@ -31,6 +31,9 @@ struct RecoveryStats {
   Bytes journal_valid_bytes = 0;
   Bytes journal_torn_bytes = 0;   // truncated after the consistent prefix
   std::uint64_t journal_records_rejected = 0;  // undecodable payloads
+  /// Recovered images that decoded but did not fit the cache geometry
+  /// (CacheManager::image_fits); the run then started cold.
+  std::uint64_t images_rejected = 0;
   std::uint64_t result_entries_recovered = 0;
   std::uint64_t list_entries_recovered = 0;
   /// Simulated flash time spent re-adopting recovered blocks (reported
@@ -69,6 +72,14 @@ class PersistenceManager final : public CacheJournalSink {
   void on_list_erase(TermId term) override;
 
   void note_restore_flash_time(Micros t) { stats_.restore_flash_time = t; }
+  /// The recovered image was refused and the run starts cold: count it,
+  /// and report nothing as warm or recovered.
+  void note_image_rejected() {
+    ++stats_.images_rejected;
+    stats_.warm = false;
+    stats_.result_entries_recovered = 0;
+    stats_.list_entries_recovered = 0;
+  }
 
   [[nodiscard]] const RecoveryStats& stats() const { return stats_; }
   [[nodiscard]] std::string snapshot_path() const;

@@ -14,7 +14,6 @@ const char* to_string(TraceStage stage) {
     case TraceStage::kBrokerMerge: return "broker_merge";
     case TraceStage::kIngestApply: return "ingest_apply";
     case TraceStage::kSegmentMerge: return "segment_merge";
-    case TraceStage::kDaatSkip: return "daat_skip";
     case TraceStage::kBrokerRetry: return "broker_retry";
   }
   return "unknown";

@@ -33,13 +33,12 @@ enum class TraceStage : std::uint8_t {
   kBrokerMerge,        // cluster broker: fan-out RTT + top-K merge
   kIngestApply,        // live-index ingest/delete apply (segment + log)
   kSegmentMerge,       // live-segment fold into the materialized index
-  kDaatSkip,           // scoring time saved by block-max prune jumps
   kBrokerRetry,        // broker tail tolerance on the reported shard:
                        // failed-attempt waits, backoff pauses, a
                        // winning hedge's delay (DESIGN.md §15)
 };
 
-inline constexpr std::size_t kNumTraceStages = 12;
+inline constexpr std::size_t kNumTraceStages = 11;
 
 const char* to_string(TraceStage stage);
 

@@ -230,8 +230,8 @@ TrafficResult run_traffic(TrafficTarget& target, QueryLogGenerator& gen,
           .add(completion, 1);
     }
 
-    // Tail attribution. kDaatSkip measures scoring time *saved* by
-    // pruning, not spent, so it is excluded from the cost axis.
+    // Tail attribution: the traced stages, the queue wait, and the
+    // untraced rest of the service time ("other").
     TailSample sample;
     sample.query = a.query.id;
     sample.outlier = a.outlier;
@@ -242,9 +242,6 @@ TrafficResult run_traffic(TrafficTarget& target, QueryLogGenerator& gen,
     Micros traced = micros(0);
     if (const telemetry::QueryTrace* t = target.last_trace()) {
       for (std::size_t s = 0; s < telemetry::kNumTraceStages; ++s) {
-        if (s == static_cast<std::size_t>(telemetry::TraceStage::kDaatSkip)) {
-          continue;
-        }
         if (!(t->touched & (1u << s))) continue;
         sample.stage_us[s] = t->stage_us[s];
         traced += t->stage_us[s];

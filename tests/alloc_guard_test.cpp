@@ -4,12 +4,15 @@
 // measures heap allocations per query on warm servers:
 //  * SearchSystem::execute over a materialized index (real postings,
 //    CBSLRU with an SSD L2, the write buffer and the FTL underneath);
+//  * the same path under CBLRU with result evictions streaming through
+//    the write buffer: about one RB group flushed per nine queries;
 //  * SearchCluster::execute at R=2 with hedging and failover on, one
 //    replica spiking, so the broker merge and the policy stack run.
-// Each bound sits a little above the measured steady state (3.08 and
-// 13.17 allocations per query, with or without sanitizers). A
+// Each bound sits a little above the measured steady state (3.08, 3.38
+// and 13.17 allocations per query, with or without sanitizers). A
 // per-query hash map, a re-sort buffer or a per-call scratch vector on
-// either path pushes the count past it.
+// any of these paths pushes the count past it; so does a write buffer
+// that reallocates its group storage per flush.
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -109,6 +112,47 @@ TEST(AllocGuardTest, MaterializedExecuteAllocatesALittlePerQuery) {
               per_query);
   EXPECT_GT(sys.cache_ssd()->ftl().stats().gc_invocations, gc0);
   EXPECT_LE(per_query, 4.0);
+}
+
+TEST(AllocGuardTest, ResultEvictionsFlushThroughTheWriteBuffer) {
+  // A hot, repeating stream of 200 distinct queries over an L1 result
+  // cache of ten entries and an SSD result cache of four RBs: results
+  // are evicted, recomputed and evicted again, and with the admission
+  // bar at one use every eviction goes through the write buffer, so RB
+  // groups assemble and flush inside the timed window.
+  CorpusConfig cc;
+  cc.num_docs = 10'000;
+  cc.vocab_size = 1'000;
+  cc.terms_per_doc = 40;
+  Rng rng(cc.seed);
+  const MaterializedCorpus corpus(cc, rng);
+  MaterializedIndex index(corpus);
+  SystemConfig cfg;
+  cfg.corpus = cc;
+  cfg.log.vocab_size = cc.vocab_size;
+  cfg.log.distinct_queries = 200;
+  cfg.log.min_terms = 2;
+  cfg.log.max_terms = 3;
+  cfg.cache.policy = CachePolicy::kCblru;
+  cfg.set_memory_budget(MiB);
+  cfg.cache.ssd_result_capacity = 512 * KiB;
+  cfg.cache.min_result_freq_for_ssd = 1;
+  cfg.training_queries = 1'000;
+  SearchSystem sys(cfg, index);
+
+  const std::vector<Query> warm = take(sys.generator(), 3'000);
+  for (const Query& q : warm) (void)sys.execute(q);
+  const std::vector<Query> timed = take(sys.generator(), 2'000);
+  const WriteBufferStats& wb = sys.cache_manager().write_buffer().stats();
+  const std::uint64_t groups0 = wb.flush_groups;
+  const double per_query = allocations_per_query(
+      timed, [&sys](const Query& q) { (void)sys.execute(q); });
+  std::printf("result evictions: %.2f allocations per query, %llu RB "
+              "groups flushed\n",
+              per_query,
+              static_cast<unsigned long long>(wb.flush_groups - groups0));
+  EXPECT_GE(wb.flush_groups - groups0, 100u);
+  EXPECT_LE(per_query, 3.6);
 }
 
 TEST(AllocGuardTest, ClusterExecuteAllocatesALittlePerServe) {

@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -306,13 +307,19 @@ TEST(LiveIndexOracleTest, ChurnMatchesRebuildFromScratch) {
     ASSERT_EQ(index.num_docs(), mid.index.num_docs());
     expect_postings_equal(index, mid, "mid-segment");
     expect_lazy_view_equal(index, "mid-segment");
-    expect_oracle_equivalent(DaatIndex(index), mid, queries, "mid-segment");
+    const DaatIndex before_merge(index);
+    expect_oracle_equivalent(before_merge, mid, queries, "mid-segment");
 
     // Merge is content-neutral: same results, now from the merged lists
     // and a DaatIndex rebuilt over them — full stats equality included.
     const ingest::MergeOutcome outcome = live.merge();
     EXPECT_GT(outcome.terms_rebuilt, 0u);
     EXPECT_TRUE(live.clean());
+    // The merge rewrote the lists: the DaatIndex built before it is
+    // stale, and the processor refuses to answer from it.
+    DaatProcessor stale_reader(10);
+    EXPECT_THROW(stale_reader.intersect(before_merge, queries.front()),
+                 std::logic_error);
     EXPECT_EQ(index.num_docs(), mid.index.num_docs());
     expect_postings_equal(index, mid, "post-merge");
     expect_oracle_equivalent(DaatIndex(index), mid, queries, "post-merge");

@@ -8,6 +8,7 @@
 #include "src/cache/mem_list_cache.hpp"
 #include "src/cache/mem_result_cache.hpp"
 #include "src/engine/daat.hpp"
+#include "src/index/codec.hpp"
 #include "src/index/inverted_index.hpp"
 #include "src/util/flat_lru_map.hpp"
 #include "src/util/rng.hpp"
@@ -370,8 +371,8 @@ TEST(MemListCacheTest, EncodedSizeAccountingChangesEvictionCounts) {
   const DaatIndex packed_daat(packed_index);
 
   // Same postings, different accounting: the packed index's charged
-  // bytes are the encoded sizes of the DAAT engine's block slices,
-  // several-fold below raw.
+  // bytes are the block-packed sizes of the DAAT engine's doc-sorted
+  // lists, several-fold below raw.
   Bytes raw_total = 0;
   Bytes packed_total = 0;
   for (TermId t{}; t < TermId{cfg.vocab_size}; ++t) {
@@ -379,7 +380,8 @@ TEST(MemListCacheTest, EncodedSizeAccountingChangesEvictionCounts) {
     raw_total += raw_index.term_meta_fast(t).list_bytes;
     packed_total += packed_index.term_meta_fast(t).list_bytes;
     EXPECT_EQ(packed_index.term_meta_fast(t).list_bytes,
-              packed_daat.block_store().term_bytes(t));
+              block_slice_bytes(CodecKind::kBlockPacked,
+                                packed_daat.doc_sorted(t).postings()));
   }
   EXPECT_LT(packed_total * 5 / 2, raw_total);
 

@@ -2,9 +2,11 @@
 // format hardening, snapshot atomicity, journal torn-tail repair,
 // journal replay semantics, crash injection sweeps, and end-to-end
 // warm restarts that must serve bit-identical results.
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -621,6 +623,138 @@ TEST(WarmRestartTest, LruBaselineDoesNotPersist) {
   EXPECT_FALSE(a.checkpoint());  // no persistence machinery attached
   EXPECT_EQ(a.recovery_stats(), nullptr);
   EXPECT_FALSE(a.warm_started());
+}
+
+// A snapshot whose every frame checks out can still describe a cache
+// this one cannot hold. Each case mutates one field of a real image and
+// re-writes it through write_snapshot; the restart must start cold,
+// count the rejection, and then serve exactly as a fresh cold start.
+// The CBLRU image covers the dynamic sections, the CBSLRU one the
+// pinned sections, which share the cache files with the dynamic ones.
+TEST(WarmRestartTest, HostileSnapshotStartsCold) {
+  for (const CachePolicy policy : {CachePolicy::kCblru, CachePolicy::kCbslru}) {
+    const std::string tag =
+        policy == CachePolicy::kCblru ? "cblru" : "cbslru";
+    SCOPED_TRACE(tag);
+    CacheImage image;
+    CacheConfig cc;
+    std::uint32_t vocab = 0;
+    {
+      SearchSystem a(recovery_system(test_dir("hostile_base_" + tag), policy));
+      a.run(4'000);
+      ASSERT_TRUE(a.checkpoint());
+      image = a.cache_manager().export_image();
+      cc = a.cache_manager().config();
+      vocab = a.index().vocab_size();
+    }
+
+    struct Case {
+      const char* name;
+      std::function<void(CacheImage&)> mutate;
+    };
+    std::vector<Case> cases;
+    if (policy == CachePolicy::kCblru) {
+      ASSERT_GE(image.rbs.size(), 2u);
+      ASSERT_GE(image.lists.size(), 2u);
+      const auto rb_blocks = static_cast<std::uint32_t>(
+          cc.ssd_result_capacity / cc.block_bytes);
+      const auto list_blocks =
+          static_cast<std::uint32_t>(cc.ssd_list_capacity / cc.block_bytes);
+      // The probe's "list block equal to an RB's block": an RB's block
+      // id that a second list entry also holds in the list file.
+      std::size_t victim = 0;
+      std::uint32_t shared = 0;
+      bool found = false;
+      for (std::size_t i = 0; i < image.lists.size() && !found; ++i) {
+        for (const RbImage& rb : image.rbs) {
+          if (std::find(image.lists[i].blocks.begin(),
+                        image.lists[i].blocks.end(),
+                        rb.cb) != image.lists[i].blocks.end()) {
+            victim = i == 0 ? 1 : 0;
+            shared = rb.cb;
+            found = true;
+            break;
+          }
+        }
+      }
+      ASSERT_TRUE(found) << "no RB block id is also a list block";
+      cases = {
+          {"rb_block_out_of_range",
+           [=](CacheImage& im) { im.rbs[0].cb = rb_blocks; }},
+          {"list_block_equals_rb_block",
+           [=](CacheImage& im) { im.lists[victim].blocks[0] = shared; }},
+          {"two_rbs_share_a_block",
+           [](CacheImage& im) { im.rbs[1].cb = im.rbs[0].cb; }},
+          {"list_block_out_of_range",
+           [=](CacheImage& im) { im.lists[0].blocks.back() = list_blocks; }},
+          {"rb_over_slot_capacity",
+           [&](CacheImage& im) {
+             im.rbs[0].slots.resize(cc.results_per_rb() + 1,
+                                    im.rbs[0].slots.front());
+           }},
+          {"slot_state_out_of_range",
+           [](CacheImage& im) { im.rbs[0].slots[0].state = 3; }},
+          {"list_without_blocks",
+           [](CacheImage& im) { im.lists[0].blocks.clear(); }},
+          {"duplicate_list_term",
+           [](CacheImage& im) { im.lists[1].term = im.lists[0].term; }},
+          {"term_outside_vocabulary",
+           [=](CacheImage& im) { im.lists[0].term = TermId{vocab}; }},
+      };
+    } else {
+      ASSERT_GE(image.static_rbs.size(), 2u);
+      ASSERT_FALSE(image.lists.empty());
+      ASSERT_FALSE(image.static_lists.empty());
+      cases = {
+          {"static_rbs_share_a_block",
+           [](CacheImage& im) { im.static_rbs[1].cb = im.static_rbs[0].cb; }},
+          {"static_list_shares_a_dynamic_block",
+           [](CacheImage& im) {
+             im.static_lists[0].blocks[0] = im.lists[0].blocks[0];
+           }},
+          {"static_term_also_dynamic",
+           [](CacheImage& im) { im.static_lists[0].term = im.lists[0].term; }},
+      };
+    }
+
+    // A fresh cold start's first queries: what every rejected restart
+    // must reproduce, result bits and simulated latency alike.
+    std::vector<SearchSystem::QueryOutcome> cold;
+    {
+      SearchSystem fresh(
+          recovery_system(test_dir("hostile_cold_" + tag), policy));
+      ASSERT_FALSE(fresh.warm_started());
+      for (int i = 0; i < 300; ++i) {
+        cold.push_back(fresh.execute(fresh.generator().next()));
+      }
+    }
+
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.name);
+      const std::string dir = test_dir("hostile_" + tag + "_" + c.name);
+      CacheImage hostile = image;
+      c.mutate(hostile);
+      ASSERT_TRUE(recovery::write_snapshot(
+          dir + "/snapshot.ssdse", hostile,
+          recovery::cache_config_fingerprint(cc)));
+
+      SearchSystem b(recovery_system(dir, policy));
+      EXPECT_FALSE(b.warm_started());
+      const recovery::RecoveryStats* stats = b.recovery_stats();
+      ASSERT_NE(stats, nullptr);
+      EXPECT_EQ(stats->images_rejected, 1u);
+      EXPECT_FALSE(stats->warm);
+      EXPECT_EQ(stats->result_entries_recovered, 0u);
+      EXPECT_EQ(stats->list_entries_recovered, 0u);
+      for (const SearchSystem::QueryOutcome& want : cold) {
+        const auto got = b.execute(b.generator().next());
+        ASSERT_EQ(got.result.query, want.result.query);
+        EXPECT_EQ(got.result.docs, want.result.docs);
+        EXPECT_EQ(got.result_from_cache, want.result_from_cache);
+        EXPECT_EQ(got.response, want.response);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
